@@ -8,6 +8,8 @@ makes composition a handful of bitwise ORs.
 
 from .exactmat import MatrixError
 
+_CLOSURE_MAX_N = 5
+
 
 class BoolMatrix:
     """Square Boolean matrix with rows stored as bitmasks."""
@@ -217,43 +219,35 @@ def rook_matrices(n):
     yield from rec(0, 0, [])
 
 
-def closure(generators, max_n=5):
+def closure(generators):
     """Multiplicative closure of a set of same-sized Boolean matrices.
 
-    Saturates a worklist of freshly discovered products; the guard keeps
-    desk-scale inputs from exploding.
+    The size guard keeps desk-scale inputs from exploding.
     """
-    gens = sorted(set(generators), key=lambda b: b.rows)
+    gens = list(set(generators))
     if not gens:
         raise MatrixError("closure needs at least one generator")
     n = gens[0].n
     if any(g.n != n for g in gens):
         raise MatrixError("generators must share one size")
-    if n > max_n:
-        raise MatrixError(f"closure limited to n <= {max_n}")
-    closed = set(gens)
-    frontier = list(gens)
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            for b in closed:
-                for prod in (a * b, b * a):
-                    if prod not in closed:
-                        fresh.add(prod)
-        closed |= fresh
-        frontier = sorted(fresh, key=lambda b: b.rows)
-    return closed
+    if n > _CLOSURE_MAX_N:
+        raise MatrixError(f"closure limited to n <= {_CLOSURE_MAX_N}")
+    return _saturate_or_find_cycle(gens, None)[0]
 
 
-def _saturate_or_find_cycle(gens):
-    """Closure of gens, stopping early at the first non-acyclic element.
+def _saturate_or_find_cycle(gens, keep):
+    """Closure of gens by a worklist of freshly discovered products,
+    stopping at the first element that the predicate `keep` rejects.
 
-    Returns (closed_set, None) when everything stays acyclic, otherwise
-    (None, cyclic_element).
+    Returns (closed_set, None) when every element is kept, otherwise
+    (None, rejected_element). The maximality oracle passes is_acyclic, so
+    the rejected element is one whose digraph has a cycle; keep=None
+    saturates unconditionally.
     """
-    for g in gens:
-        if not is_acyclic(g):
-            return None, g
+    if keep is not None:
+        for g in gens:
+            if not keep(g):
+                return None, g
     closed = set(gens)
     frontier = list(closed)
     while frontier:
@@ -262,7 +256,7 @@ def _saturate_or_find_cycle(gens):
             for b in closed:
                 for prod in (a * b, b * a):
                     if prod not in closed and prod not in fresh:
-                        if not is_acyclic(prod):
+                        if keep is not None and not keep(prod):
                             return None, prod
                         fresh.add(prod)
         closed |= fresh
@@ -329,7 +323,7 @@ def _extension_breaks(pattern, x, k):
     both the unrestricted and the rook ambient.
     """
     gens = (pattern, x)
-    closed, cyclic = _saturate_or_find_cycle(gens)
+    closed, cyclic = _saturate_or_find_cycle(gens, is_acyclic)
     if cyclic is not None:
         return True
     return _generated_class(gens, len(closed)) > k

@@ -85,9 +85,9 @@ def _cmd_omega_pattern(args, out):
     if (args.order is None) == (args.partition is None):
         raise MatrixError("give exactly one of --order or --partition")
     if args.order is not None:
-        pattern = omega.pattern_from_order(omega.LinearOrder.parse(args.order))
+        pattern = omega.pattern_from_order(args.order)
     else:
-        pattern = omega.pattern_from_partition(omega.OrderedPartition.parse(args.partition))
+        pattern = omega.pattern_from_partition(args.partition)
     out.write(_dump(pattern.to_json_dict()))
     return 0
 
@@ -190,6 +190,19 @@ def _cmd_verify(args, out):
 # -- parser --------------------------------------------------------------------
 
 
+def _usage_checked(parse):
+    """argparse type: a value that parse rejects is a usage error (exit 2)
+    whose message names the option."""
+
+    def convert(text):
+        try:
+            return parse(text)
+        except MatrixError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="nilmat",
@@ -225,8 +238,14 @@ def build_parser():
     p.set_defaults(func=_cmd_omega_enumerate)
 
     p = osub.add_parser("pattern", help="support pattern of an order or ordered partition")
-    p.add_argument("--order", help='linear order like "2,3,1"')
-    p.add_argument("--partition", help='ordered partition like "1,3|2"')
+    p.add_argument(
+        "--order", type=_usage_checked(omega.LinearOrder.parse), help='linear order like "2,3,1"'
+    )
+    p.add_argument(
+        "--partition",
+        type=_usage_checked(omega.OrderedPartition.parse),
+        help='ordered partition like "1,3|2"',
+    )
     p.set_defaults(func=_cmd_omega_pattern)
 
     p = osub.add_parser("member", help="membership of a matrix in a pattern subsemigroup")

@@ -51,7 +51,7 @@ def format_rational(value):
 def _as_fraction(x):
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return parse_rational(x)
@@ -191,33 +191,22 @@ class RMatrix:
         return RMatrix([self.column(j) for j in range(self.cols)])
 
     def inverse(self):
-        """Exact inverse by Gauss-Jordan elimination.
+        """Exact inverse by Gauss-Jordan elimination of [A | I].
 
-        Pivots on the first nonzero entry of each column; exact arithmetic
-        needs no numerical pivoting. A fully zero pivot column means the
-        matrix is singular.
+        A column with no nonzero entry left to pivot on means the matrix is
+        singular.
         """
         if not self.is_square:
             raise DimensionMismatch("only square matrices can be inverted")
         n = self.rows
-        a = self.to_rows()
-        inv = RMatrix.identity(n).to_rows()
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                raise SingularMatrix(f"matrix is singular (zero pivot column {col})")
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                inv[col], inv[piv] = inv[piv], inv[col]
-            p = a[col][col]
-            a[col] = [x / p for x in a[col]]
-            inv[col] = [x / p for x in inv[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return RMatrix(inv)
+        a = [
+            list(row) + [ONE if i == j else ZERO for j in range(n)]
+            for i, row in enumerate(self._data)
+        ]
+        pivots = _reduce(a, n, stop_at_gap=True)
+        if len(pivots) < n:
+            raise SingularMatrix(f"matrix is singular (zero pivot column {len(pivots)})")
+        return RMatrix([row[n:] for row in a])
 
     # -- inspection ----------------------------------------------------------
 
@@ -271,26 +260,13 @@ class RMatrix:
             raise MatrixError("matrix JSON needs positive integer rows/cols")
         if not isinstance(entries, list) or len(entries) != rows:
             raise MatrixError("matrix JSON entries must list one row per matrix row")
-        parsed = []
-        for row in entries:
-            if not isinstance(row, list) or len(row) != cols:
-                raise MatrixError("matrix JSON row has wrong length")
-            out = []
-            for cell in row:
-                if isinstance(cell, bool) or isinstance(cell, float):
-                    raise MatrixError(f"inexact matrix entry rejected: {cell!r}")
-                if isinstance(cell, int):
-                    out.append(Fraction(cell))
-                elif isinstance(cell, str):
-                    out.append(parse_rational(cell))
-                else:
-                    raise MatrixError(f"unsupported matrix entry: {cell!r}")
-            parsed.append(out)
-        return cls(parsed)
+        if any(not isinstance(row, list) or len(row) != cols for row in entries):
+            raise MatrixError("matrix JSON row has wrong length")
+        return cls(entries)
 
 
-def _dot(xs, ys):
-    total = ZERO
+def _dot(xs, ys, total=ZERO):
+    """total + xs . ys, skipping zero factors."""
     for x, y in zip(xs, ys):
         if x and y:
             total += x * y
@@ -305,26 +281,42 @@ def mat_vec(m, vec):
     return tuple(_dot(row, v) for row in m.to_rows())
 
 
-def rank(m):
-    """Exact rank via Gaussian elimination."""
-    a = m.to_rows()
-    rows, cols = m.rows, m.cols
-    r = 0
-    for c in range(cols):
+def _reduce(a, width, stop_at_gap=False):
+    """Gauss-Jordan elimination of the first `width` columns, in place.
+
+    `a` is a list of row lists, possibly augmented ([A | I], [A | b]):
+    whole rows take part in every row operation. Each pivot is the first
+    nonzero entry of its column at or below the current row; its row is
+    scaled to a leading one and the column is cleared in every other
+    row. Returns the pivot columns, the i-th pivot sitting in row i. With
+    stop_at_gap the elimination ends at the first column without a pivot,
+    which is all a square system needs to know it is singular.
+    """
+    rows = len(a)
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
         piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
         if piv is None:
+            if stop_at_gap:
+                break
             continue
         a[r], a[piv] = a[piv], a[r]
         p = a[r][c]
-        a[r] = [x / p for x in a[r]]
+        top = a[r] = [x / p for x in a[r]]
         for i in range(rows):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
+                a[i] = [x - f * y for x, y in zip(a[i], top)]
+        pivots.append(c)
+        if r + 1 == rows:
             break
-    return r
+    return pivots
+
+
+def rank(m):
+    """Exact rank via Gaussian elimination."""
+    return len(_reduce(m.to_rows(), m.cols))
 
 
 def solve_unique(m, rhs):
@@ -335,41 +327,16 @@ def solve_unique(m, rhs):
         raise DimensionMismatch("right-hand side length must equal row count")
     n = m.rows
     a = [list(row) + [_as_fraction(v)] for row, v in zip(m.to_rows(), rhs)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return None
-        a[c], a[piv] = a[piv], a[c]
-        p = a[c][c]
-        a[c] = [x / p for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(a[i][n] for i in range(n))
+    if len(_reduce(a, n, stop_at_gap=True)) < n:
+        return None
+    return tuple(row[n] for row in a)
 
 
 def null_space(m):
     """Basis of the right null space, as tuples of Fractions."""
-    rows, cols = m.rows, m.cols
+    cols = m.cols
     a = m.to_rows()
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        a[r] = [x / p for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    pivots = _reduce(a, cols)
     pivot_set = set(pivots)
     basis = []
     for free in range(cols):

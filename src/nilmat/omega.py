@@ -8,10 +8,17 @@ test against the pattern.
 
 import math
 
-from .boolrel import BoolMatrix, nilpotency_index
+from .boolrel import BoolMatrix, is_rook, nilpotency_index
 from .exactmat import RMatrix, MatrixError, ONE, ZERO
 
 KINDS = ("omega", "m0", "m0plus")
+
+
+def _parse_ints(text):
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise MatrixError(f"not a comma-separated list of integers: {text!r}") from None
 
 
 class LinearOrder:
@@ -28,7 +35,7 @@ class LinearOrder:
 
     @classmethod
     def parse(cls, text):
-        return cls(int(part) for part in text.split(","))
+        return cls(_parse_ints(text))
 
     @property
     def n(self):
@@ -69,7 +76,7 @@ class OrderedPartition:
     @classmethod
     def parse(cls, text):
         """Parse "1,3|2" into blocks ({1,3}, {2})."""
-        return cls(part.split(",") for part in text.split("|"))
+        return cls(_parse_ints(part) for part in text.split("|"))
 
     @classmethod
     def _trusted(cls, blocks):
@@ -156,17 +163,12 @@ def membership(a, pattern, kind="omega"):
         raise MatrixError(f"unknown semigroup kind: {kind!r}")
     if not a.is_square or a.rows != pattern.n:
         raise MatrixError("matrix size must match the pattern size")
-    if kind in ("omega", "m0plus"):
-        if any(x < 0 for row in a.to_rows() for x in row):
-            return False
-    if kind in ("m0", "m0plus"):
-        for i in range(a.rows):
-            if sum(1 for x in a.row(i) if x != 0) > 1:
-                return False
-        for j in range(a.cols):
-            if sum(1 for x in a.column(j) if x != 0) > 1:
-                return False
-    return all(pattern.has_bit(i, j) for i, j in a.nonzero_positions())
+    if kind in ("omega", "m0plus") and a.min_entry() < 0:
+        return False
+    positions = a.nonzero_positions()
+    if kind in ("m0", "m0plus") and not is_rook(BoolMatrix.from_pairs(a.rows, positions)):
+        return False
+    return all(pattern.has_bit(i, j) for i, j in positions)
 
 
 def count_max_nilpotent(n, k):
@@ -220,7 +222,7 @@ def nilpotency_class(a):
     """
     if not a.is_square:
         raise MatrixError("nilpotency class defined for square matrices")
-    if any(x < 0 for row in a.to_rows() for x in row):
+    if a.min_entry() < 0:
         raise MatrixError("nilpotency class here is relative to the nonnegative ambient")
     p = a
     for k in range(1, a.rows + 1):
@@ -264,7 +266,7 @@ def nilpotent_nonzero_count(a):
     """
     if not a.is_square:
         raise MatrixError("nonzero count defined for square matrices")
-    if any(x < 0 for row in a.to_rows() for x in row):
+    if a.min_entry() < 0:
         raise MatrixError("matrix must be nonnegative")
     n = a.rows
     if not (a ** n).is_zero():
@@ -280,12 +282,7 @@ def is_unit(a):
     inverse that is again nonnegative."""
     if not a.is_square:
         raise MatrixError("unit test defined for square matrices")
-    if any(x < 0 for row in a.to_rows() for x in row):
+    if a.min_entry() < 0:
         raise MatrixError("unit test defined on nonnegative matrices")
-    for i in range(a.rows):
-        if sum(1 for x in a.row(i) if x != 0) != 1:
-            return False
-    for j in range(a.cols):
-        if sum(1 for x in a.column(j) if x != 0) != 1:
-            return False
-    return True
+    support = BoolMatrix.from_pairs(a.rows, a.nonzero_positions())
+    return is_rook(support) and support.bit_count() == a.rows

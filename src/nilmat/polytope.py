@@ -20,6 +20,7 @@ from itertools import combinations
 from .exactmat import (
     RMatrix,
     MatrixError,
+    _dot,
     format_rational,
     mat_vec,
     null_space,
@@ -56,11 +57,7 @@ class LinearInequality:
         )
 
     def evaluate(self, point):
-        total = self.constant
-        for c, x in zip(self.coeffs, point):
-            if c and x:
-                total += c * x
-        return total
+        return _dot(self.coeffs, point, self.constant)
 
     def key(self):
         return (self.constant,) + tuple(self.coeffs)
@@ -264,14 +261,6 @@ def _feasible_direction(rows, y):
     return all(_dot(r, y) >= 0 for r in rows)
 
 
-def _dot(xs, ys):
-    total = ZERO
-    for x, y in zip(xs, ys):
-        if x and y:
-            total += x * y
-    return total
-
-
 def _neg(v):
     return tuple(-x for x in v)
 
@@ -337,13 +326,17 @@ def polytope_from_json_dict(obj):
         raise MatrixError(f"polytope JSON missing field: {exc}") from exc
     if not isinstance(d, int) or d < 1:
         raise MatrixError("polytope dimension must be a positive integer")
-    ineqs = [
-        LinearInequality(
-            parse_rational(item["constant"]),
-            tuple(parse_rational(c) for c in item["coeffs"]),
-        )
-        for item in raw_ineqs
-    ]
+    if not isinstance(raw_ineqs, list) or not isinstance(raw_vertices, list):
+        raise MatrixError("polytope JSON inequalities and vertices must be lists")
+    ineqs = []
+    for item in raw_ineqs:
+        coeffs = item.get("coeffs") if isinstance(item, dict) else None
+        if not isinstance(coeffs, list) or "constant" not in item:
+            raise MatrixError(f"bad inequality entry: {item!r}")
+        constant = parse_rational(item["constant"])
+        ineqs.append(LinearInequality(constant, tuple(parse_rational(c) for c in coeffs)))
+    if any(not isinstance(p, list) for p in raw_vertices):
+        raise MatrixError("each polytope vertex must be a list")
     vertices = [tuple(parse_rational(x) for x in p) for p in raw_vertices]
     return HPolytope(d, ineqs), VPolytope(d, vertices)
 

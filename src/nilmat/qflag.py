@@ -194,11 +194,7 @@ def flag_membership(a, frame):
     Equivalent to the reduced matrix being strictly block upper
     triangular with respect to the frame's dimension breakpoints.
     """
-    b = iso_forward(a, frame)
-    for i, j in b.nonzero_positions():
-        if frame.block_of(i + 1) >= frame.block_of(j + 1):
-            return False
-    return True
+    return is_strictly_block_upper(iso_forward(a, frame), frame)
 
 
 def is_strictly_block_upper(b, frame):

@@ -49,6 +49,11 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nope"])
     assert exc.value.code == 2
+    for option, value in (("--order", "1,x"), ("--partition", "1,,2")):
+        with pytest.raises(SystemExit) as exc:
+            main(["omega", "pattern", option, value])
+        assert exc.value.code == 2
+        assert f"argument {option}:" in capsys.readouterr().err
 
 
 def test_omega_enumerate_text_and_json(tmp_path, capsys):

@@ -47,6 +47,8 @@ def test_constructor_rejects_floats_and_ragged():
     with pytest.raises(MatrixError):
         RMatrix([[0.5]])
     with pytest.raises(MatrixError):
+        RMatrix([[True]])
+    with pytest.raises(MatrixError):
         RMatrix([[1, 2], [3]])
     with pytest.raises(MatrixError):
         RMatrix([])
@@ -168,6 +170,8 @@ def test_json_round_trip_and_strictness():
         RMatrix.from_json_dict({"rows": 1, "cols": 1, "entries": [["0.5"]]})
     with pytest.raises(MatrixError):
         RMatrix.from_json_dict({"rows": 1, "cols": 1, "entries": [[0.5]]})
+    with pytest.raises(MatrixError):
+        RMatrix.from_json_dict({"rows": 1, "cols": 1, "entries": [[True]]})
     with pytest.raises(MatrixError):
         RMatrix.from_json_dict({"rows": 2, "cols": 1, "entries": [["1"]]})
 

@@ -237,6 +237,22 @@ def test_json_dict_rejects_garbage():
         )
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"d": 1, "inequalities": [[1]], "vertices": []},
+        {"d": 1, "inequalities": [{"constant": "1", "coeffs": "1"}], "vertices": []},
+        {"d": 1, "inequalities": [{"coeffs": ["1"]}], "vertices": []},
+        {"d": 1, "inequalities": 5, "vertices": []},
+        {"d": 1, "inequalities": [], "vertices": 5},
+        {"d": 1, "inequalities": [], "vertices": [5]},
+    ],
+)
+def test_json_dict_malformed_structure_is_a_matrix_error(obj):
+    with pytest.raises(MatrixError):
+        polytope_from_json_dict(obj)
+
+
 def test_off_export_tetrahedron():
     h = build_h_polytope(reference_frame(which="frame-b"))
     v = enumerate_vertices(h)

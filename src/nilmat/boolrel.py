@@ -103,7 +103,7 @@ class BoolMatrix:
         if not isinstance(obj, dict) or "n" not in obj or "bits" not in obj:
             raise MatrixError('pattern JSON must be {"n": ..., "bits": [[i, j], ...]}')
         n = obj["n"]
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise MatrixError("pattern size must be a positive integer")
         pairs = []
         for pair in obj["bits"]:

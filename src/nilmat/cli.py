@@ -129,8 +129,7 @@ def _cmd_q_nilclass(args, out):
 def _cmd_q_make_nilpotent(args, out):
     frame = _read_frame(args.frame)
     b = _read_matrix(args.b)
-    alpha = parse_rational(args.alpha) if args.alpha is not None else None
-    _print_matrix(qflag.make_stochastic_nilpotent(frame, b, alpha), out)
+    _print_matrix(qflag.make_stochastic_nilpotent(frame, b, args.alpha), out)
     return 0
 
 
@@ -163,20 +162,7 @@ def _cmd_verify(args, out):
     except KeyError as exc:
         raise MatrixError(str(exc)) from exc
     if args.json:
-        payload = {
-            "dataset": args.dataset,
-            "ok": ok,
-            "checks": [
-                {
-                    "name": c["name"],
-                    "ok": c["ok"],
-                    "detail": c["detail"],
-                    "diff": c["diff"],
-                }
-                for c in checks
-            ],
-        }
-        out.write(_dump(payload))
+        out.write(_dump({"dataset": args.dataset, "ok": ok, "checks": checks}))
     else:
         for c in checks:
             status = "PASS" if c["ok"] else "FAIL"
@@ -276,7 +262,9 @@ def build_parser():
     p = qsub.add_parser("make-nilpotent", help="doubly stochastic nilpotent from a reduced matrix")
     p.add_argument("--frame", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--alpha", help='exact rational like "1/16"')
+    p.add_argument(
+        "--alpha", type=_usage_checked(parse_rational), help='exact rational like "1/16"'
+    )
     p.set_defaults(func=_cmd_q_make_nilpotent)
 
     pg = sub.add_parser("polytope", help="doubly stochastic polytopes of complete flags")

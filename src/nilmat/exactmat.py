@@ -256,7 +256,7 @@ class RMatrix:
             entries = obj["entries"]
         except (KeyError, TypeError) as exc:
             raise MatrixError(f"matrix JSON missing field: {exc}") from exc
-        if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+        if any(not isinstance(k, int) or isinstance(k, bool) or k < 1 for k in (rows, cols)):
             raise MatrixError("matrix JSON needs positive integer rows/cols")
         if not isinstance(entries, list) or len(entries) != rows:
             raise MatrixError("matrix JSON entries must list one row per matrix row")

@@ -21,13 +21,21 @@ def _parse_ints(text):
         raise MatrixError(f"not a comma-separated list of integers: {text!r}") from None
 
 
+def _ints(values):
+    values = tuple(values)
+    try:
+        return tuple(int(x) for x in values)
+    except (TypeError, ValueError):
+        raise MatrixError(f"not a sequence of integers: {values!r}") from None
+
+
 class LinearOrder:
     """A linear order on {1..n}, listed from smallest to largest."""
 
     __slots__ = ("seq",)
 
     def __init__(self, seq):
-        seq = tuple(int(x) for x in seq)
+        seq = _ints(seq)
         n = len(seq)
         if n < 1 or sorted(seq) != list(range(1, n + 1)):
             raise MatrixError(f"not a permutation of 1..{n}: {seq}")
@@ -64,7 +72,7 @@ class OrderedPartition:
     __slots__ = ("blocks",)
 
     def __init__(self, blocks):
-        blocks = tuple(tuple(sorted(set(int(x) for x in b))) for b in blocks)
+        blocks = tuple(tuple(sorted(set(_ints(b)))) for b in blocks)
         if not blocks or any(not b for b in blocks):
             raise MatrixError("blocks must be nonempty")
         flat = [x for b in blocks for x in b]

@@ -15,15 +15,13 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import combinations
 
 from .exactmat import (
     RMatrix,
     MatrixError,
     _dot,
+    _reduce,
     format_rational,
-    mat_vec,
-    null_space,
     parse_rational,
     rank,
     solve_unique,
@@ -46,15 +44,8 @@ class LinearInequality:
     def canonical(self):
         """Scale by the unique positive rational making all parts coprime
         integers."""
-        values = (self.constant,) + tuple(self.coeffs)
-        lcm_den = math.lcm(*(v.denominator for v in values))
-        ints = [int(v * lcm_den) for v in values]
-        g = math.gcd(*ints)
-        if g == 0:
-            return LinearInequality(ZERO, tuple(ZERO for _ in self.coeffs))
-        return LinearInequality(
-            Fraction(ints[0], g), tuple(Fraction(c, g) for c in ints[1:])
-        )
+        ints = _primitive((self.constant,) + tuple(self.coeffs))
+        return LinearInequality(Fraction(ints[0]), tuple(Fraction(c) for c in ints[1:]))
 
     def evaluate(self, point):
         return _dot(self.coeffs, point, self.constant)
@@ -170,99 +161,89 @@ def build_h_polytope(frame):
 
 
 def enumerate_vertices(h):
-    """All vertices by exhaustive tight-subset solving.
-
-    Every d-subset of inequalities is solved exactly as a linear system;
-    nonsingular subsets give a candidate which is kept when it satisfies
-    all inequalities. A kept point is a genuine vertex since its defining
-    subset is d linearly independent tight constraints.
-    """
+    """All vertices, exactly, by the double description method."""
     d = h.d
     if d > MAX_DIMENSION or len(h.inequalities) > MAX_INEQUALITIES:
         raise MatrixError(
             f"vertex enumeration limited to d <= {MAX_DIMENSION} and "
             f"{MAX_INEQUALITIES} inequalities"
         )
-    if len(h.inequalities) < d:
-        return VPolytope(d, [])
-    found = set()
-    for subset in combinations(h.inequalities, d):
-        m = RMatrix([iq.coeffs for iq in subset])
-        sol = solve_unique(m, [-iq.constant for iq in subset])
-        if sol is None:
-            continue
-        if sol in found:
-            continue
-        if all(iq.evaluate(sol) >= 0 for iq in h.inequalities):
-            found.add(sol)
-    return VPolytope(d, found)
+    return VPolytope(d, _double_description(h)[0])
 
 
 def is_bounded(h):
     """Is the recession cone {y : coeffs . y >= 0 for all inequalities}
-    trivial?
+    trivial? The cone does not depend on feasibility, so an empty polytope
+    counts as unbounded when the cone is nontrivial."""
+    if h.d > MAX_DIMENSION:
+        raise MatrixError(f"boundedness test limited to d <= {MAX_DIMENSION}")
+    return not _double_description(h)[1]
 
-    A nonzero kernel vector of the full coefficient matrix is itself a
-    recession direction, so rank below d means unbounded. With full rank,
-    look for a positive-combination certificate: strictly positive weights
-    w with sum of w_i * row_i = 0 force every recession direction into the
-    kernel, hence to zero. A positive guess (unit weights, or reciprocal
-    constants, which undo canonical rescaling of an all-constants-equal
-    system like the frame polytopes) is projected exactly onto the left
-    kernel of the row matrix and used whenever it stays positive. When no
-    certificate applies, decide completely by enumerating candidate
-    extreme rays: a pointed nontrivial cone exposes a ray as the
-    nullity-one kernel of some (d-1)-subset of rows.
+
+def _double_description(h):
+    """(vertices, unbounded) of {x : constant + coeffs . x >= 0}.
+
+    The double description method (Motzkin et al. 1953; Fukuda and Prodon
+    1996) on the homogenised cone {(t, x) : t >= 0, t * constant +
+    coeffs . x >= 0}, in integers: canonical rows are coprime integers
+    and rays are kept as primitive integer vectors. The cone's extreme
+    rays with t > 0 are the vertices x / t, those with t = 0 the extreme
+    recession directions.
+
+    The cone starts as the simplicial cone of the first d + 1 independent
+    rows and takes the other rows one at a time: rays on a row's positive
+    side stay, rays on its negative side go, and each adjacent (+, -) pair
+    gives a new ray on the row's hyperplane. Two rays are adjacent when at
+    least d - 1 rows are tight on both and no third ray is tight on all of
+    those rows. Fewer than d + 1 independent rows means coefficient rank
+    below d: the cone holds a line, so there are no vertices and the
+    polytope is unbounded.
     """
     d = h.d
-    if d > MAX_DIMENSION:
-        raise MatrixError(f"boundedness test limited to d <= {MAX_DIMENSION}")
-    rows = [iq.coeffs for iq in h.inequalities]
-    if not rows:
-        return False
-    a = RMatrix(rows)
-    if rank(a) < d:
-        return False
-    guesses = [[ONE] * len(rows)]
-    if all(iq.constant > 0 for iq in h.inequalities):
-        guesses.append([1 / iq.constant for iq in h.inequalities])
-    for guess in guesses:
-        lam = _left_kernel_projection(a, guess)
-        if all(x > 0 for x in lam):
-            return True
-    for subset in combinations(rows, d - 1):
-        if subset:
-            kernel = null_space(RMatrix(subset))
-            if len(kernel) != 1:
-                continue
-            y = kernel[0]
-        else:
-            # d = 1: the empty subset leaves the whole line
-            y = (ONE,)
-        if _feasible_direction(rows, y) or _feasible_direction(rows, _neg(y)):
-            return False
-    return True
+    rows = [(1,) + (0,) * d] + [
+        (int(iq.constant),) + tuple(int(c) for c in iq.coeffs) for iq in h.inequalities
+    ]
+    # the pivot columns of the transpose are the first independent rows
+    basis = _reduce([[Fraction(r[k]) for r in rows] for k in range(d + 1)], len(rows))
+    if len(basis) <= d:
+        return [], True
+    start = RMatrix([rows[i] for i in basis])
+    tight_on_start = sum(1 << i for i in basis)
+    # (ray, bitmask of the rows taken so far that are tight on it)
+    rays = [
+        (
+            _primitive(solve_unique(start, [int(k == j) for k in range(d + 1)])),
+            tight_on_start & ~(1 << i),
+        )
+        for j, i in enumerate(basis)
+    ]
+    for i in sorted(set(range(len(rows))) - set(basis)):
+        row, bit = rows[i], 1 << i
+        sides = [(ray, _dot(row, ray[0], 0)) for ray in rays]
+        kept = [(y, tight | bit if s == 0 else tight) for (y, tight), s in sides if s >= 0]
+        plus = [(ray, s) for ray, s in sides if s > 0]
+        minus = [(ray, s) for ray, s in sides if s < 0]
+        for p, sp in plus:
+            for n, sn in minus:
+                common = p[1] & n[1]
+                if common.bit_count() < d - 1 or any(
+                    r is not p and r is not n and r[1] & common == common for r in rays
+                ):
+                    continue
+                w = [sp * b - sn * a for a, b in zip(p[0], n[0])]
+                kept.append((_primitive(w), common | bit))
+        rays = kept
+    vertices = [tuple(Fraction(x, y[0]) for x in y[1:]) for y, _ in rays if y[0]]
+    return vertices, any(y[0] == 0 for y, _ in rays)
 
 
-def _left_kernel_projection(a, guess):
-    """Orthogonal projection of a weight vector onto the left kernel of a.
-
-    Exact via the normal equations; needs a to have full column rank.
-    """
-    at = a.transpose()
-    gram = at * a
-    z = solve_unique(gram, mat_vec(at, guess))
-    assert z is not None, "projection needs full column rank"
-    image = mat_vec(a, z)
-    return tuple(g - x for g, x in zip(guess, image))
-
-
-def _feasible_direction(rows, y):
-    return all(_dot(r, y) >= 0 for r in rows)
-
-
-def _neg(v):
-    return tuple(-x for x in v)
+def _primitive(values):
+    """The coprime integer vector on the ray of a rational vector (zero
+    stays zero)."""
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    g = math.gcd(*ints) or 1
+    return tuple(x // g for x in ints)
 
 
 def _affine_rank(points):
@@ -324,7 +305,7 @@ def polytope_from_json_dict(obj):
         raw_vertices = obj["vertices"]
     except (KeyError, TypeError) as exc:
         raise MatrixError(f"polytope JSON missing field: {exc}") from exc
-    if not isinstance(d, int) or d < 1:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise MatrixError("polytope dimension must be a positive integer")
     if not isinstance(raw_ineqs, list) or not isinstance(raw_vertices, list):
         raise MatrixError("polytope JSON inequalities and vertices must be lists")

@@ -93,16 +93,15 @@ DATASETS = {
 
 
 def reference_frame(name="example1", which="frame-a"):
-    entry = DATASETS[name][which]
+    return _frame(DATASETS[name][which])
+
+
+def _frame(entry):
     return FlagFrame(RMatrix(entry["matrix"]), (1, 2, 3))
 
 
-def _fmt_vertex(p):
-    return "(" + ", ".join(format_rational(x) for x in p) + ")"
-
-
-def _fmt_ineq_key(key):
-    return "(" + ", ".join(format_rational(x) for x in key) + ")"
+def _fmt_tuple(values):
+    return "(" + ", ".join(format_rational(x) for x in values) + ")"
 
 
 def _diff_sets(expected, actual, fmt):
@@ -124,8 +123,7 @@ def run_checks(dataset):
     """
     checks = []
     for which, entry in sorted(dataset.items()):
-        frame = FlagFrame(RMatrix(entry["matrix"]), (1, 2, 3))
-        h = build_h_polytope(frame)
+        h = build_h_polytope(_frame(entry))
         v = enumerate_vertices(h)
         census = facet_census(h, v)
 
@@ -138,7 +136,7 @@ def run_checks(dataset):
                 "name": f"{which} inequalities",
                 "ok": actual_ineqs == expected_ineqs,
                 "detail": f"{len(actual_ineqs)} canonical inequalities",
-                "diff": _diff_sets(expected_ineqs, actual_ineqs, _fmt_ineq_key),
+                "diff": _diff_sets(expected_ineqs, actual_ineqs, _fmt_tuple),
             }
         )
 
@@ -150,8 +148,8 @@ def run_checks(dataset):
             {
                 "name": f"{which} vertices",
                 "ok": actual_vertices == expected_vertices,
-                "detail": ", ".join(_fmt_vertex(p) for p in v.vertices),
-                "diff": _diff_sets(expected_vertices, actual_vertices, _fmt_vertex),
+                "detail": ", ".join(_fmt_tuple(p) for p in v.vertices),
+                "diff": _diff_sets(expected_vertices, actual_vertices, _fmt_tuple),
             }
         )
 

@@ -1,0 +1,62 @@
+"""Brute-force H-polytope oracles: the exhaustive tight-subset vertex
+search and the certificate-plus-ray-enumeration boundedness test that
+nilmat.polytope used before its double description routine. Exponential
+in the number of inequalities; meant for d <= 4."""
+
+from itertools import combinations
+
+from nilmat.exactmat import ONE, RMatrix, _dot, mat_vec, null_space, rank, solve_unique
+
+
+def brute_force_vertices(h):
+    """Solve every d-subset of inequalities; keep the feasible solutions."""
+    found = set()
+    for subset in combinations(h.inequalities, h.d):
+        sol = solve_unique(RMatrix([iq.coeffs for iq in subset]), [-iq.constant for iq in subset])
+        if sol is not None and all(iq.evaluate(sol) >= 0 for iq in h.inequalities):
+            found.add(sol)
+    return found
+
+
+def brute_force_is_bounded(h):
+    """Is the recession cone {y : coeffs . y >= 0} trivial?
+
+    Rank below d leaves a kernel line. Otherwise a strictly positive
+    weighting of the rows that sums to zero (unit or reciprocal-constant
+    weights, projected onto the left kernel) proves boundedness; failing
+    that, a nontrivial pointed cone has an extreme ray spanning the
+    one-dimensional kernel of some d-1 rows.
+    """
+    d = h.d
+    rows = [iq.coeffs for iq in h.inequalities]
+    if not rows:
+        return False
+    a = RMatrix(rows)
+    if rank(a) < d:
+        return False
+    guesses = [[ONE] * len(rows)]
+    if all(iq.constant > 0 for iq in h.inequalities):
+        guesses.append([1 / iq.constant for iq in h.inequalities])
+    for guess in guesses:
+        if all(x > 0 for x in _left_kernel_projection(a, guess)):
+            return True
+    for subset in combinations(rows, d - 1):
+        kernel = null_space(RMatrix(subset)) if subset else [(ONE,)]
+        if len(kernel) != 1:
+            continue
+        y = kernel[0]
+        if _feasible(rows, y) or _feasible(rows, tuple(-x for x in y)):
+            return False
+    return True
+
+
+def _left_kernel_projection(a, guess):
+    """Orthogonal projection of a weight vector onto the left kernel of a,
+    exactly, through the normal equations (a has full column rank)."""
+    at = a.transpose()
+    z = solve_unique(at * a, mat_vec(at, guess))
+    return tuple(g - x for g, x in zip(guess, mat_vec(a, z)))
+
+
+def _feasible(rows, y):
+    return all(_dot(r, y) >= 0 for r in rows)

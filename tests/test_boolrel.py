@@ -174,3 +174,5 @@ def test_json_round_trip():
         BoolMatrix.from_json_dict({"n": 2, "bits": [[1, 3]]})
     with pytest.raises(MatrixError):
         BoolMatrix.from_json_dict({"bits": []})
+    with pytest.raises(MatrixError):
+        BoolMatrix.from_json_dict({"n": True, "bits": []})

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -54,6 +55,10 @@ def test_usage_error_exits_2(capsys):
             main(["omega", "pattern", option, value])
         assert exc.value.code == 2
         assert f"argument {option}:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["q", "make-nilpotent", "--frame", "f.json", "--b", "b.json", "--alpha", "x"])
+    assert exc.value.code == 2
+    assert "argument --alpha:" in capsys.readouterr().err
 
 
 def test_omega_enumerate_text_and_json(tmp_path, capsys):
@@ -215,6 +220,45 @@ def test_polytope_build_output_is_deterministic(tmp_path, capsys):
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+# sha256 of stdout and of each written file, pinned from the exhaustive
+# tight-subset enumerator that preceded the double description routine
+GOLDEN_BUILDS = {
+    "frame-a": {
+        "stdout": "b3aab1fef0c4ec3da417db8803f4d7a5e99f86b3eb9afc99b3ffc44d122c13ba",
+        "poly.json": "a5ad4b1b259d4ae5fbf15a99edb9fa5917c489b876e817b8747b195167eff31a",
+        "poly.off": "9e6b02214006054e141aa4ec10183f4b1cbef5a2bbeb94d77f563e8600d957bd",
+    },
+    "frame-b": {
+        "stdout": "a18366a3222c852b4e1160d00f7d111afb19746546e192f7982ff97c88064017",
+        "poly.json": "7c231bac204a02b03a71169949cbc99dd5146428dca089fcb44ebbc5d3d4653d",
+        "poly.off": "45c7397ec7149dd4d0cde62f16f59bc4d4901737b2b02310cccee86fa986d1c1",
+    },
+    "standard-5": {
+        "stdout": "082b448f9e7bf904a83df95ff2e538f9f94b614b72b6f3e33a904024bf0f4fb9",
+        "poly.json": "f7cc5d9ad1b84dca338f9bfbb3bef2ccefcfdfdb730404c4aea97465a5dcf098",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BUILDS))
+def test_polytope_build_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
+    if name == "standard-5":
+        frame, opts = FlagFrame.standard(5), ["--out", "poly.json"]
+    else:
+        frame = reference.reference_frame(which=name)
+        opts = ["--census", "--out", "poly.json", "--off", "poly.off"]
+    # relative output names keep the "wrote ..." lines free of tmp paths
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "frame.json", frame.to_json_dict())
+    code, out, _ = run(capsys, "polytope", "build", "--frame", "frame.json", *opts)
+    assert code == 0
+    digests = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
+    for written in ("poly.json", "poly.off"):
+        if written in opts:
+            digests[written] = hashlib.sha256((tmp_path / written).read_bytes()).hexdigest()
+    assert digests == GOLDEN_BUILDS[name]
 
 
 def test_verify_dataset(capsys):

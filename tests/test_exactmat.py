@@ -174,6 +174,9 @@ def test_json_round_trip_and_strictness():
         RMatrix.from_json_dict({"rows": 1, "cols": 1, "entries": [[True]]})
     with pytest.raises(MatrixError):
         RMatrix.from_json_dict({"rows": 2, "cols": 1, "entries": [["1"]]})
+    for rows, cols in ((True, 1), (1, True)):
+        with pytest.raises(MatrixError):
+            RMatrix.from_json_dict({"rows": rows, "cols": cols, "entries": [["1"]]})
 
 
 def test_solve_unique_and_singularity():

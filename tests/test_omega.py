@@ -38,6 +38,8 @@ def test_linear_order_parsing_and_validation():
         LinearOrder([1, 1, 2])
     with pytest.raises(MatrixError):
         LinearOrder([0, 1])
+    with pytest.raises(MatrixError):
+        LinearOrder(["1", "x"])
 
 
 def test_ordered_partition_parsing_and_validation():
@@ -51,6 +53,8 @@ def test_ordered_partition_parsing_and_validation():
         OrderedPartition([(1,), ()])
     with pytest.raises(MatrixError):
         OrderedPartition([(1, 3)])
+    with pytest.raises(MatrixError):
+        OrderedPartition([["x"]])
 
 
 def test_pattern_from_order_examples():

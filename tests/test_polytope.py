@@ -140,15 +140,15 @@ def test_is_bounded_cases():
     assert is_bounded(cube(3))
     # half plane
     assert not is_bounded(HPolytope(2, [ineq(1, 1, 0)]))
-    # quadrant: full rank, not certified, extreme rays feasible
+    # quadrant: full rank, two recession rays
     assert not is_bounded(HPolytope(2, [ineq(1, 1, 0), ineq(1, 0, 1)]))
-    # bounded but rows do not sum to zero: exercises the ray enumeration
+    # bounded, though the rows do not sum to zero
     skew = HPolytope(2, [ineq(1, 1, 0), ineq(1, -2, 0), ineq(1, 0, 1), ineq(1, 0, -3)])
     assert is_bounded(skew)
     # free line: kernel direction despite three rows
     line = HPolytope(3, [ineq(1, 1, 0, 0), ineq(1, -1, 0, 0), ineq(1, 0, 1, 0)])
     assert not is_bounded(line)
-    # one-dimensional cases, empty tight subsets
+    # one-dimensional cases
     assert is_bounded(HPolytope(1, [ineq(1, 1), ineq(1, -1)]))
     assert not is_bounded(HPolytope(1, [ineq(1, 1)]))
     assert not is_bounded(HPolytope(2, []))
@@ -231,6 +231,8 @@ def test_json_export_round_trip():
 def test_json_dict_rejects_garbage():
     with pytest.raises(MatrixError):
         polytope_from_json_dict({"d": 0, "inequalities": [], "vertices": []})
+    with pytest.raises(MatrixError):
+        polytope_from_json_dict({"d": True, "inequalities": [], "vertices": []})
     with pytest.raises(MatrixError):
         polytope_from_json_dict(
             {"d": 1, "inequalities": [{"constant": "0.5", "coeffs": ["1"]}], "vertices": []}

@@ -192,33 +192,6 @@ def is_rook(b):
     return True
 
 
-def all_bool_matrices(n):
-    """Every Boolean n x n matrix; 2^(n*n) of them, so keep n tiny."""
-    width = (1 << n) - 1
-    for code in range(1 << (n * n)):
-        yield BoolMatrix(n, tuple((code >> (i * n)) & width for i in range(n)))
-
-
-def rook_matrices(n):
-    """Every (0,1)-matrix with at most one bit per row and column."""
-
-    def rec(i, used_cols, rows):
-        if i == n:
-            yield BoolMatrix(n, tuple(rows))
-            return
-        rows.append(0)
-        yield from rec(i + 1, used_cols, rows)
-        rows.pop()
-        for j in range(n):
-            bit = 1 << j
-            if not used_cols & bit:
-                rows.append(bit)
-                yield from rec(i + 1, used_cols | bit, rows)
-                rows.pop()
-
-    yield from rec(0, 0, [])
-
-
 def closure(generators):
     """Multiplicative closure of a set of same-sized Boolean matrices.
 
@@ -294,7 +267,13 @@ def is_maximal_nilpotent_pattern(pattern, kind="bn"):
     can be replaced by the pattern itself (or, below, by single-bit
     matrices along a witnessing walk), so both the cycle test and the
     class of the extension are decided on the two generators
-    {pattern, x}. That keeps the search tractable.
+    {pattern, x}. Breaking is upward-closed in x: when x is inside y, each
+    product word over {pattern, y} contains the same word over
+    {pattern, x}, so a cyclic element or a nonempty product of k
+    generators survives the swap. Every x outside the pattern contains a
+    single-bit matrix E_ij outside it, and every E_ij is a rook matrix,
+    so it suffices to test the single-bit extensions, and both ambients
+    get the same answer.
     """
     if kind not in ("bn", "rook"):
         raise MatrixError(f"unknown ambient kind: {kind!r}")
@@ -304,13 +283,12 @@ def is_maximal_nilpotent_pattern(pattern, kind="bn"):
     k = nilpotency_index(pattern)
     if k is None:
         raise MatrixError("pattern is not nilpotent: its digraph has a cycle")
-    universe = all_bool_matrices(n) if kind == "bn" else rook_matrices(n)
-    for x in universe:
-        if x.is_subset(pattern):
-            continue
-        if not _extension_breaks(pattern, x, k):
-            return False
-    return True
+    return all(
+        _extension_breaks(pattern, BoolMatrix.from_pairs(n, [(i, j)]), k)
+        for i in range(n)
+        for j in range(n)
+        if not pattern.has_bit(i, j)
+    )
 
 
 def _extension_breaks(pattern, x, k):

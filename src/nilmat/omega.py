@@ -23,10 +23,9 @@ def _parse_ints(text):
 
 def _ints(values):
     values = tuple(values)
-    try:
-        return tuple(int(x) for x in values)
-    except (TypeError, ValueError):
-        raise MatrixError(f"not a sequence of integers: {values!r}") from None
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in values):
+        raise MatrixError(f"not a sequence of integers: {values!r}")
+    return values
 
 
 class LinearOrder:

@@ -57,7 +57,7 @@ class LinearInequality:
 class HPolytope:
     """Deduplicated canonical inequality description."""
 
-    __slots__ = ("d", "inequalities")
+    __slots__ = ("d", "inequalities", "_dd")
 
     def __init__(self, d, inequalities):
         if d < 1:
@@ -70,6 +70,7 @@ class HPolytope:
             canon[c.key()] = c
         self.d = d
         self.inequalities = tuple(canon[k] for k in sorted(canon))
+        self._dd = None  # _double_description's result, filled on first use
 
     def __eq__(self, other):
         return (
@@ -181,6 +182,13 @@ def is_bounded(h):
 
 
 def _double_description(h):
+    """(vertices, unbounded) of h, computed once per HPolytope."""
+    if h._dd is None:
+        h._dd = _run_double_description(h)
+    return h._dd
+
+
+def _run_double_description(h):
     """(vertices, unbounded) of {x : constant + coeffs . x >= 0}.
 
     The double description method (Motzkin et al. 1953; Fukuda and Prodon

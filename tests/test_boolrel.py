@@ -2,16 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from boolrel_oracles import all_bool_matrices, full_scan_is_maximal, rook_matrices
 from conftest import rng, rand_nonneg_matrix
 from nilmat.boolrel import (
     BoolMatrix,
-    all_bool_matrices,
     closure,
     is_acyclic,
     is_maximal_nilpotent_pattern,
     is_rook,
     nilpotency_index,
-    rook_matrices,
     support_pattern,
 )
 from nilmat.exactmat import RMatrix, MatrixError
@@ -144,14 +143,42 @@ def test_two_block_partition_pattern_is_maximal():
 def test_every_partition_pattern_is_maximal_in_both_ambients():
     from nilmat.omega import iter_ordered_partitions
 
-    for n in (1, 2, 3):
-        for k in range(1, n + 1):
-            for p in iter_ordered_partitions(n, k):
-                assert is_maximal_nilpotent_pattern(pattern_from_partition(p), "bn")
     for n in (1, 2, 3, 4):
         for k in range(1, n + 1):
             for p in iter_ordered_partitions(n, k):
+                assert is_maximal_nilpotent_pattern(pattern_from_partition(p), "bn")
                 assert is_maximal_nilpotent_pattern(pattern_from_partition(p), "rook")
+
+
+# n=4 patterns for the 2^16-element "bn" scan, maximal and not: four
+# partition patterns (one block, four, two and three), the four-block one
+# less a bit (that bit is then the only witness), a bare chain and two
+# disjoint edges.
+N4_BN_PATTERNS = [
+    BoolMatrix.empty(4),
+    bits(4, (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)),
+    bits(4, (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)),
+    bits(4, (1, 2), (2, 3), (3, 4)),
+    bits(4, (1, 3), (1, 4), (2, 3), (2, 4)),
+    bits(4, (2, 1), (3, 1), (4, 1), (2, 3), (4, 3)),
+    bits(4, (1, 2), (3, 4)),
+]
+
+
+def test_maximality_agrees_with_the_full_scan():
+    for n in (1, 2, 3):
+        for pattern in filter(is_acyclic, all_bool_matrices(n)):
+            for kind in ("bn", "rook"):
+                expected = full_scan_is_maximal(pattern, kind)
+                assert is_maximal_nilpotent_pattern(pattern, kind) == expected, (pattern, kind)
+    acyclic4 = list(filter(is_acyclic, all_bool_matrices(4)))
+    assert len(acyclic4) == 543
+    verdicts = [is_maximal_nilpotent_pattern(p, "rook") for p in acyclic4]
+    assert verdicts == [full_scan_is_maximal(p, "rook") for p in acyclic4]
+    assert sum(verdicts) == 75
+    bn = [is_maximal_nilpotent_pattern(p, "bn") for p in N4_BN_PATTERNS]
+    assert bn == [full_scan_is_maximal(p, "bn") for p in N4_BN_PATTERNS]
+    assert bn == [True, True, False, False, True, True, False]
 
 
 def test_maximality_oracle_rejects_bad_inputs():

@@ -38,8 +38,11 @@ def test_linear_order_parsing_and_validation():
         LinearOrder([1, 1, 2])
     with pytest.raises(MatrixError):
         LinearOrder([0, 1])
-    with pytest.raises(MatrixError):
-        LinearOrder(["1", "x"])
+    for seq in (["1", "x"], ["1", "2"], [1.9, 2], [True, 2], [F(1), 2]):
+        with pytest.raises(MatrixError, match="not a sequence of integers"):
+            LinearOrder(seq)
+    with pytest.raises(MatrixError, match="not a comma-separated list of integers"):
+        LinearOrder.parse("1,2.5")
 
 
 def test_ordered_partition_parsing_and_validation():
@@ -53,8 +56,11 @@ def test_ordered_partition_parsing_and_validation():
         OrderedPartition([(1,), ()])
     with pytest.raises(MatrixError):
         OrderedPartition([(1, 3)])
-    with pytest.raises(MatrixError):
-        OrderedPartition([["x"]])
+    for blocks in ([["x"]], [[1.5], [2]], [[1], [False, 2]]):
+        with pytest.raises(MatrixError, match="not a sequence of integers"):
+            OrderedPartition(blocks)
+    with pytest.raises(MatrixError, match="not a comma-separated list of integers"):
+        OrderedPartition.parse("1|x")
 
 
 def test_pattern_from_order_examples():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rng, rand_frame
+from nilmat import polytope
 from nilmat.exactmat import RMatrix, MatrixError
 from nilmat.polytope import (
     HPolytope,
@@ -154,6 +155,19 @@ def test_is_bounded_cases():
     assert not is_bounded(HPolytope(2, []))
     with pytest.raises(MatrixError):
         is_bounded(HPolytope(7, [ineq(1, *([1] * 7))]))
+
+
+def test_double_description_runs_once_per_polytope(monkeypatch):
+    runs = []
+    run = polytope._run_double_description
+    monkeypatch.setattr(polytope, "_run_double_description", lambda h: runs.append(h) or run(h))
+    h = build_h_polytope(reference_frame())
+    assert is_bounded(h)
+    first = enumerate_vertices(h)
+    assert enumerate_vertices(h) == first
+    assert runs == [h]
+    # the cached result takes no part in equality
+    assert h == build_h_polytope(reference_frame())
 
 
 def test_random_frame_polytopes_are_bounded():

@@ -1,13 +1,21 @@
 """Exact rational scalars and dense rational matrices.
 
-Scalars are fractions.Fraction, which keeps every value reduced with a
-positive denominator. Matrices are immutable and all operations are pure
-functions, so values can be shared freely between threads. Nothing in this
-module ever rounds; if a computation cannot be done exactly it raises.
+A matrix is stored as integer rows over one positive common denominator,
+normalised so that the denominator shares no factor with every numerator;
+scalars going in may be int, fractions.Fraction or exact "p/q" strings,
+and scalars coming out are Fractions. Products, sums and scaling work on
+the integers and normalise once per result, and elimination is
+fraction-free (Bareiss 1968). Matrices are immutable and all operations
+are pure functions, so values can be shared freely between threads.
+Nothing in this module ever rounds; if a computation cannot be done
+exactly it raises.
 """
 
+import math
 import re
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -48,35 +56,79 @@ def format_rational(value):
     return f"{v.numerator}/{v.denominator}"
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
+def _is_int(x):
+    # bool is an int subclass, and True must not pass for 1
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def int_tuple(values):
+    """values as a tuple of ints; MatrixError for a non-iterable or for
+    any element that is not an int (floats and booleans included)."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise MatrixError(f"not a sequence of integers: {values!r}") from None
+    if not all(_is_int(x) for x in values):
+        raise MatrixError(f"not a sequence of integers: {values!r}")
+    return values
+
+
+def _rational(x):
+    """x as an exact int or Fraction, both of which carry numerator and
+    denominator."""
+    if isinstance(x, Fraction) or _is_int(x):
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
     if isinstance(x, str):
         return parse_rational(x)
     raise MatrixError(f"inexact or unsupported entry type: {type(x).__name__}")
+
+
+def _int_vector(values):
+    """(ints, den) with values[i] == ints[i] / den."""
+    vs = [_rational(x) for x in values]
+    den = math.lcm(*(v.denominator for v in vs))
+    return [v.numerator * (den // v.denominator) for v in vs], den
+
+
+def _normalised(num, den):
+    """The matrix num / den, from integer row tuples and a positive
+    denominator, with their common factor divided out."""
+    if den != 1:
+        g = math.gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            num = tuple(tuple(x // g for x in row) for row in num)
+            den //= g
+    m = object.__new__(RMatrix)
+    m.rows = len(num)
+    m.cols = len(num[0])
+    m._num = num
+    m._den = den
+    return m
 
 
 class RMatrix:
     """Immutable dense matrix over the rationals.
 
     Entries may be given as int, Fraction, or exact "p/q" strings; floats
-    are refused. Indexing is 0-based via m[i, j].
+    are refused. Indexing is 0-based via m[i, j] and returns a Fraction.
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, rows_of_entries):
-        data = tuple(tuple(_as_fraction(x) for x in row) for row in rows_of_entries)
+        data = tuple(tuple(_rational(x) for x in row) for row in rows_of_entries)
         if not data or not data[0]:
             raise MatrixError("matrix needs at least one row and one column")
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise MatrixError("rows have unequal lengths")
+        # entries are in lowest terms, so their denominators' lcm shares no
+        # factor with every scaled numerator
+        den = math.lcm(*(x.denominator for row in data for x in row))
         self.rows = len(data)
         self.cols = width
-        self._data = data
+        self._num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data)
+        self._den = den
 
     @classmethod
     def identity(cls, n):
@@ -90,66 +142,64 @@ class RMatrix:
 
     @classmethod
     def filled(cls, rows, cols, value):
-        v = _as_fraction(value)
+        v = _rational(value)
         return cls([[v] * cols for _ in range(rows)])
 
     # -- access -------------------------------------------------------------
 
     def __getitem__(self, key):
         i, j = key
-        return self._data[i][j]
+        return Fraction(self._num[i][j], self._den)
 
     def row(self, i):
-        return self._data[i]
+        return tuple(Fraction(x, self._den) for x in self._num[i])
 
     def column(self, j):
-        return tuple(r[j] for r in self._data)
+        return tuple(Fraction(r[j], self._den) for r in self._num)
 
     def to_rows(self):
-        """Mutable copy as a list of lists."""
-        return [list(r) for r in self._data]
+        """Mutable copy as a list of lists of Fractions."""
+        return [[Fraction(x, self._den) for x in r] for r in self._num]
 
     @property
     def is_square(self):
         return self.rows == self.cols
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._data == other._data
-        )
+        return isinstance(other, RMatrix) and self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._data))
+        return hash((self._den, self._num))
 
     def __repr__(self):
-        body = "; ".join(" ".join(format_rational(x) for x in row) for row in self._data)
+        body = "; ".join(" ".join(format_rational(x) for x in row) for row in self.to_rows())
         return f"RMatrix({self.rows}x{self.cols}: {body})"
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, sign, what):
         if not isinstance(other, RMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix addition needs equal shapes")
-        return RMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)]
+            raise DimensionMismatch(f"matrix {what} needs equal shapes")
+        den = math.lcm(self._den, other._den)
+        s, t = den // self._den, sign * (den // other._den)
+        return _normalised(
+            tuple(
+                tuple(s * x + t * y for x, y in zip(r1, r2))
+                for r1, r2 in zip(self._num, other._num)
+            ),
+            den,
         )
+
+    def __add__(self, other):
+        return self._plus(other, 1, "addition")
 
     def __sub__(self, other):
-        if not isinstance(other, RMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix subtraction needs equal shapes")
-        return RMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)]
-        )
+        return self._plus(other, -1, "subtraction")
 
     def __neg__(self):
-        return RMatrix([[-x for x in row] for row in self._data])
+        return _normalised(tuple(tuple(-x for x in row) for row in self._num), self._den)
 
     def __mul__(self, other):
         if isinstance(other, RMatrix):
@@ -157,13 +207,18 @@ class RMatrix:
                 raise DimensionMismatch(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            cols = [other.column(j) for j in range(other.cols)]
-            return RMatrix(
-                [[_dot(row, col) for col in cols] for row in self._data]
+            cols = tuple(zip(*other._num))
+            return _normalised(
+                tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self._num),
+                self._den * other._den,
             )
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return RMatrix([[c * x for x in row] for row in self._data])
+            c = _rational(other)
+            p = c.numerator
+            return _normalised(
+                tuple(tuple(p * x for x in row) for row in self._num),
+                self._den * c.denominator,
+            )
         return NotImplemented
 
     def __rmul__(self, other):
@@ -172,7 +227,7 @@ class RMatrix:
         return NotImplemented
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 1:
+        if not _is_int(k) or k < 1:
             raise MatrixError("matrix power needs a positive integer exponent")
         if not self.is_square:
             raise DimensionMismatch("matrix power needs a square matrix")
@@ -188,54 +243,55 @@ class RMatrix:
         return result
 
     def transpose(self):
-        return RMatrix([self.column(j) for j in range(self.cols)])
+        return _normalised(tuple(zip(*self._num)), self._den)
 
     def inverse(self):
-        """Exact inverse by Gauss-Jordan elimination of [A | I].
+        """Exact inverse by fraction-free Gauss-Jordan elimination of
+        [N | I], where this matrix is N / den.
 
         A column with no nonzero entry left to pivot on means the matrix is
-        singular.
+        singular. Otherwise every pivot ends as the same D, and the
+        inverse is den * (right half) / D.
         """
         if not self.is_square:
             raise DimensionMismatch("only square matrices can be inverted")
         n = self.rows
-        a = [
-            list(row) + [ONE if i == j else ZERO for j in range(n)]
-            for i, row in enumerate(self._data)
-        ]
+        a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self._num)]
         pivots = _reduce(a, n, stop_at_gap=True)
         if len(pivots) < n:
             raise SingularMatrix(f"matrix is singular (zero pivot column {len(pivots)})")
-        return RMatrix([row[n:] for row in a])
+        d = a[0][0]
+        scale = self._den if d > 0 else -self._den
+        return _normalised(tuple(tuple(scale * x for x in row[n:]) for row in a), abs(d))
 
     # -- inspection ----------------------------------------------------------
 
     def row_sums(self):
-        return tuple(sum(row, ZERO) for row in self._data)
+        return tuple(Fraction(sum(row), self._den) for row in self._num)
 
     def col_sums(self):
-        return tuple(sum(self.column(j), ZERO) for j in range(self.cols))
+        return tuple(Fraction(sum(col), self._den) for col in zip(*self._num))
 
     def is_zero(self):
-        return all(x == 0 for row in self._data for x in row)
+        return not any(chain.from_iterable(self._num))
 
     def min_entry(self):
-        return min(x for row in self._data for x in row)
+        return Fraction(min(chain.from_iterable(self._num)), self._den)
 
     def max_entry(self):
-        return max(x for row in self._data for x in row)
+        return Fraction(max(chain.from_iterable(self._num)), self._den)
 
     def nonzero_positions(self):
         """0-based (i, j) pairs of nonzero entries, row-major."""
         return [
             (i, j)
-            for i, row in enumerate(self._data)
+            for i, row in enumerate(self._num)
             for j, x in enumerate(row)
             if x != 0
         ]
 
     def count_nonzero(self):
-        return sum(1 for row in self._data for x in row if x != 0)
+        return sum(1 for row in self._num for x in row if x != 0)
 
     # -- JSON ----------------------------------------------------------------
 
@@ -243,7 +299,7 @@ class RMatrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[format_rational(x) for x in row] for row in self._data],
+            "entries": [[format_rational(x) for x in row] for row in self.to_rows()],
         }
 
     @classmethod
@@ -256,7 +312,7 @@ class RMatrix:
             entries = obj["entries"]
         except (KeyError, TypeError) as exc:
             raise MatrixError(f"matrix JSON missing field: {exc}") from exc
-        if any(not isinstance(k, int) or isinstance(k, bool) or k < 1 for k in (rows, cols)):
+        if any(not _is_int(k) or k < 1 for k in (rows, cols)):
             raise MatrixError("matrix JSON needs positive integer rows/cols")
         if not isinstance(entries, list) or len(entries) != rows:
             raise MatrixError("matrix JSON entries must list one row per matrix row")
@@ -277,37 +333,48 @@ def mat_vec(m, vec):
     """Matrix times column vector, as a tuple of Fractions."""
     if len(vec) != m.cols:
         raise DimensionMismatch("vector length must equal column count")
-    v = [_as_fraction(x) for x in vec]
-    return tuple(_dot(row, v) for row in m.to_rows())
+    v, vden = _int_vector(vec)
+    den = m._den * vden
+    return tuple(Fraction(sum(map(mul, row, v)), den) for row in m._num)
 
 
 def _reduce(a, width, stop_at_gap=False):
-    """Gauss-Jordan elimination of the first `width` columns, in place.
+    """Fraction-free Gauss-Jordan elimination of the first `width` columns,
+    in place.
 
-    `a` is a list of row lists, possibly augmented ([A | I], [A | b]):
-    whole rows take part in every row operation. Each pivot is the first
-    nonzero entry of its column at or below the current row; its row is
-    scaled to a leading one and the column is cleared in every other
-    row. Returns the pivot columns, the i-th pivot sitting in row i. With
-    stop_at_gap the elimination ends at the first column without a pivot,
-    which is all a square system needs to know it is singular.
+    `a` is a list of integer row lists, possibly augmented ([A | I],
+    [A | b]): whole rows take part in every row operation. Each pivot is
+    the first nonzero entry of its column at or below the current row.
+    With p the pivot and prev the one before it (1 at the start), every
+    other row becomes (p * row - row[c] * pivot row) / prev, which Bareiss
+    (1968) shows divides exactly: entries stay integer minors of `a`.
+    Afterwards row i, for i < len(pivots), holds the same nonzero D at
+    its pivot column pivots[i] and 0 at every other pivot column, so the
+    reduced row echelon form is a[i][j] / D. Returns the pivot columns.
+    With stop_at_gap the elimination ends at the first column without a
+    pivot, which is all a square system needs to know it is singular.
     """
     rows = len(a)
     pivots = []
+    prev = 1
     for c in range(width):
         r = len(pivots)
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
         if piv is None:
             if stop_at_gap:
                 break
             continue
         a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        top = a[r] = [x / p for x in a[r]]
+        top = a[r]
+        p = top[c]
         for i in range(rows):
-            if i != r and a[i][c] != 0:
+            if i != r:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], top)]
+                if f:
+                    a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+                elif p != prev:
+                    a[i] = [p * x // prev for x in a[i]]
+        prev = p
         pivots.append(c)
         if r + 1 == rows:
             break
@@ -316,7 +383,7 @@ def _reduce(a, width, stop_at_gap=False):
 
 def rank(m):
     """Exact rank via Gaussian elimination."""
-    return len(_reduce(m.to_rows(), m.cols))
+    return len(_reduce([list(row) for row in m._num], m.cols))
 
 
 def solve_unique(m, rhs):
@@ -326,16 +393,19 @@ def solve_unique(m, rhs):
     if len(rhs) != m.rows:
         raise DimensionMismatch("right-hand side length must equal row count")
     n = m.rows
-    a = [list(row) + [_as_fraction(v)] for row, v in zip(m.to_rows(), rhs)]
+    b, bden = _int_vector(rhs)
+    a = [list(row) + [v] for row, v in zip(m._num, b)]
     if len(_reduce(a, n, stop_at_gap=True)) < n:
         return None
-    return tuple(row[n] for row in a)
+    # (N / den) x = b / bden, so x = den * (N^-1 b) / bden
+    d = a[0][0] * bden
+    return tuple(Fraction(m._den * row[n], d) for row in a)
 
 
 def null_space(m):
     """Basis of the right null space, as tuples of Fractions."""
     cols = m.cols
-    a = m.to_rows()
+    a = [list(row) for row in m._num]
     pivots = _reduce(a, cols)
     pivot_set = set(pivots)
     basis = []
@@ -345,6 +415,6 @@ def null_space(m):
         v = [ZERO] * cols
         v[free] = ONE
         for i, pc in enumerate(pivots):
-            v[pc] = -a[i][free]
+            v[pc] = Fraction(-a[i][free], a[i][pc])
         basis.append(tuple(v))
     return basis

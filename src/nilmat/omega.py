@@ -9,7 +9,7 @@ test against the pattern.
 import math
 
 from .boolrel import BoolMatrix, is_rook, nilpotency_index
-from .exactmat import RMatrix, MatrixError, ONE, ZERO
+from .exactmat import RMatrix, MatrixError, ONE, ZERO, int_tuple
 
 KINDS = ("omega", "m0", "m0plus")
 
@@ -21,20 +21,13 @@ def _parse_ints(text):
         raise MatrixError(f"not a comma-separated list of integers: {text!r}") from None
 
 
-def _ints(values):
-    values = tuple(values)
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in values):
-        raise MatrixError(f"not a sequence of integers: {values!r}")
-    return values
-
-
 class LinearOrder:
     """A linear order on {1..n}, listed from smallest to largest."""
 
     __slots__ = ("seq",)
 
     def __init__(self, seq):
-        seq = _ints(seq)
+        seq = int_tuple(seq)
         n = len(seq)
         if n < 1 or sorted(seq) != list(range(1, n + 1)):
             raise MatrixError(f"not a permutation of 1..{n}: {seq}")
@@ -71,7 +64,10 @@ class OrderedPartition:
     __slots__ = ("blocks",)
 
     def __init__(self, blocks):
-        blocks = tuple(tuple(sorted(set(_ints(b)))) for b in blocks)
+        try:
+            blocks = tuple(tuple(sorted(set(int_tuple(b)))) for b in blocks)
+        except TypeError:  # blocks itself is not iterable
+            raise MatrixError(f"not a sequence of integers: {blocks!r}") from None
         if not blocks or any(not b for b in blocks):
             raise MatrixError("blocks must be nonempty")
         flat = [x for b in blocks for x in b]

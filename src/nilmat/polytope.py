@@ -212,7 +212,7 @@ def _run_double_description(h):
         (int(iq.constant),) + tuple(int(c) for c in iq.coeffs) for iq in h.inequalities
     ]
     # the pivot columns of the transpose are the first independent rows
-    basis = _reduce([[Fraction(r[k]) for r in rows] for k in range(d + 1)], len(rows))
+    basis = _reduce([list(col) for col in zip(*rows)], len(rows))
     if len(basis) <= d:
         return [], True
     start = RMatrix([rows[i] for i in basis])

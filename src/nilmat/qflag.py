@@ -20,6 +20,7 @@ from .exactmat import (
     rank,
     ONE,
     ZERO,
+    int_tuple,
 )
 
 
@@ -89,7 +90,7 @@ class FlagFrame:
             f_inv = f.inverse()
         except SingularMatrix as exc:
             raise MatrixError("frame matrix is singular") from exc
-        dims = tuple(int(d) for d in dims)
+        dims = int_tuple(dims)
         if (
             not dims
             or any(d < 1 for d in dims)

@@ -152,6 +152,11 @@ def test_q_iso_round_trip(tmp_path, capsys):
     assert code == 0
     assert RMatrix.from_json_dict(json.loads(out)) == b
 
+    bad_frame = write_json(tmp_path / "bad.json", dict(FlagFrame.standard(4).to_json_dict(), dims=1))
+    code, out, err = run(capsys, "q", "iso", "--frame", bad_frame, "--matrix", emb_file)
+    assert code == 1 and out == ""
+    assert err == "error: not a sequence of integers: 1\n"
+
 
 def test_q_member_and_nilclass(tmp_path, capsys):
     frame = frame_file(tmp_path)

@@ -110,6 +110,8 @@ def test_power_rejects_bad_exponents_and_shapes():
         a ** 2
     with pytest.raises(MatrixError):
         RMatrix.identity(2) ** 0
+    with pytest.raises(MatrixError):
+        RMatrix([[1, 2], [3, 4]]) ** True
 
 
 def test_inverse_identity():

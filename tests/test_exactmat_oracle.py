@@ -1,0 +1,170 @@
+"""The integer-row kernel of nilmat.exactmat checked against the
+Fraction-per-entry oracle it replaced (tests/exactmat_oracle.py), on
+rational matrices with mixed denominators, negative entries, zero rows,
+repeated rows and zero columns, plus the ring laws and the hash contract."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import exactmat_oracle as oracle
+from nilmat.exactmat import (
+    RMatrix,
+    SingularMatrix,
+    mat_vec,
+    null_space,
+    rank,
+    solve_unique,
+)
+
+# derandomized and without an example database, so every run checks the
+# same examples and writes nothing
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+SIZES = st.integers(1, 5)
+SCALARS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def entry_rows(draw, rows, cols):
+    """rows x cols lists of Fractions, often with zero, repeated or
+    scaled-repeated rows and zero columns."""
+    data = [[draw(SCALARS) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["zero row", "repeated row", "scaled row", "zero column"]))
+        i = draw(st.integers(0, rows - 1))
+        src = data[draw(st.integers(0, rows - 1))]
+        if kind == "zero row":
+            data[i] = [Fraction(0)] * cols
+        elif kind == "repeated row":
+            data[i] = list(src)
+        elif kind == "scaled row":
+            c = draw(SCALARS)
+            data[i] = [c * x for x in src]
+        else:
+            j = draw(st.integers(0, cols - 1))
+            for row in data:
+                row[j] = Fraction(0)
+    return data
+
+
+@st.composite
+def shaped(draw, *shape):
+    """Entry rows for each (rows, cols) pair in shape."""
+    return [draw(entry_rows(r, c)) for r, c in shape]
+
+
+@st.composite
+def chain3(draw):
+    """Three entry-row lists whose shapes chain for A * B * C."""
+    a, b, c, d = (draw(SIZES) for _ in range(4))
+    return draw(shaped((a, b), (b, c), (c, d)))
+
+
+@st.composite
+def operands(draw):
+    """Entry rows for A, A2 of one shape and B that chains with A."""
+    r, k, c = (draw(SIZES) for _ in range(3))
+    return draw(shaped((r, k), (r, k), (k, c)))
+
+
+@st.composite
+def squares(draw, count):
+    n = draw(SIZES)
+    return draw(shaped(*[(n, n)] * count))
+
+
+def both(data):
+    return RMatrix(data), oracle.RMatrix(data)
+
+
+def canonical(m):
+    """m equals, and hashes like, the matrix built from its own entries."""
+    again = RMatrix(m.to_rows())
+    return m == again and hash(m) == hash(again)
+
+
+@PROPERTY
+@given(operands(), SCALARS)
+def test_arithmetic_matches_the_oracle(data, c):
+    (a, oa), (a2, oa2), (b, ob) = (both(d) for d in data)
+    results = [
+        (a * b, oa * ob),
+        (a + a2 * c, oa + oa2 * c),
+        (a - c * a2, oa - c * oa2),
+        (-a, -oa),
+        (a * c, oa * c),
+        (a.transpose(), oa.transpose()),
+    ]
+    for got, want in results:
+        assert got.to_rows() == want.to_rows()
+        assert canonical(got)
+    assert a.row_sums() == oa.row_sums() and a.col_sums() == oa.col_sums()
+    assert a.min_entry() == oa.min_entry() and a.max_entry() == oa.max_entry()
+
+
+@PROPERTY
+@given(squares(1), st.lists(SCALARS, min_size=5, max_size=5))
+def test_elimination_matches_the_oracle(data, rhs):
+    (a, oa) = both(data[0])
+    rhs = rhs[: a.rows]
+    try:
+        want = oa.inverse()
+    except SingularMatrix as exc:
+        with pytest.raises(SingularMatrix) as got:
+            a.inverse()
+        assert str(got.value) == str(exc)
+    else:
+        inv = a.inverse()
+        assert inv.to_rows() == want.to_rows()
+        assert canonical(inv)
+    assert rank(a) == oracle.rank(oa)
+    assert solve_unique(a, rhs) == oracle.solve_unique(oa, rhs)
+    assert mat_vec(a, rhs) == oracle.mat_vec(oa, rhs)
+
+
+@PROPERTY
+@given(st.tuples(SIZES, SIZES).flatmap(lambda s: entry_rows(*s)))
+def test_rectangular_rank_and_null_space_match_the_oracle(data):
+    a, oa = both(data)
+    assert rank(a) == oracle.rank(oa)
+    assert null_space(a) == oracle.null_space(oa)
+    assert rank(a.transpose()) == rank(a)
+
+
+@PROPERTY
+@given(chain3())
+def test_associativity_and_transpose_of_a_product(data):
+    a, b, c = (RMatrix(d) for d in data)
+    assert (a * b) * c == a * (b * c)
+    assert (a * b).transpose() == b.transpose() * a.transpose()
+
+
+@PROPERTY
+@given(squares(3))
+def test_distributivity_and_inverse_of_a_product(data):
+    a, b, c = (RMatrix(d) for d in data)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a * (b - c) == a * b - a * c
+    if rank(a) == a.rows and rank(b) == b.rows:
+        assert (a * b).inverse() == b.inverse() * a.inverse()
+
+
+@PROPERTY
+@given(squares(1), SCALARS.filter(bool))
+def test_equal_matrices_hash_equally(data, c):
+    a = RMatrix(data[0])
+    strings = RMatrix([[f"{x.numerator * 3}/{x.denominator * 3}" for x in row] for row in data[0]])
+    for same in (
+        strings,
+        (a * c) * (1 / c),
+        a + RMatrix.zero(a.rows),
+        RMatrix.identity(a.rows) * a,
+        a.transpose().transpose(),
+        -(-a),
+    ):
+        assert same == a
+        assert hash(same) == hash(a)
+    assert (a * c == a) == (c == 1 or a.is_zero())

@@ -38,7 +38,7 @@ def test_linear_order_parsing_and_validation():
         LinearOrder([1, 1, 2])
     with pytest.raises(MatrixError):
         LinearOrder([0, 1])
-    for seq in (["1", "x"], ["1", "2"], [1.9, 2], [True, 2], [F(1), 2]):
+    for seq in (["1", "x"], ["1", "2"], [1.9, 2], [True, 2], [F(1), 2], 3):
         with pytest.raises(MatrixError, match="not a sequence of integers"):
             LinearOrder(seq)
     with pytest.raises(MatrixError, match="not a comma-separated list of integers"):
@@ -56,7 +56,7 @@ def test_ordered_partition_parsing_and_validation():
         OrderedPartition([(1,), ()])
     with pytest.raises(MatrixError):
         OrderedPartition([(1, 3)])
-    for blocks in ([["x"]], [[1.5], [2]], [[1], [False, 2]]):
+    for blocks in ([["x"]], [[1.5], [2]], [[1], [False, 2]], 5, [1, 2]):
         with pytest.raises(MatrixError, match="not a sequence of integers"):
             OrderedPartition(blocks)
     with pytest.raises(MatrixError, match="not a comma-separated list of integers"):

@@ -88,6 +88,13 @@ def test_frame_validation():
         FlagFrame(good, [])
     with pytest.raises(MatrixError):
         FlagFrame(good, [2])
+    for dims in (1, [1.9], [True], ["1"], ["x"]):
+        with pytest.raises(MatrixError, match="not a sequence of integers"):
+            FlagFrame(good, dims)
+    big = FlagFrame.standard(3).f
+    for dims in ([True, 2], ["1", 2], ["x", 2]):
+        with pytest.raises(MatrixError, match="not a sequence of integers"):
+            FlagFrame(big, dims)
     frame = FlagFrame(good, [1])
     assert frame.is_complete
     assert frame.block_of(1) == 1

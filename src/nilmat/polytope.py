@@ -20,6 +20,7 @@ from .exactmat import (
     RMatrix,
     MatrixError,
     _dot,
+    _is_int,
     _reduce,
     format_rational,
     parse_rational,
@@ -313,7 +314,7 @@ def polytope_from_json_dict(obj):
         raw_vertices = obj["vertices"]
     except (KeyError, TypeError) as exc:
         raise MatrixError(f"polytope JSON missing field: {exc}") from exc
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+    if not _is_int(d) or d < 1:
         raise MatrixError("polytope dimension must be a positive integer")
     if not isinstance(raw_ineqs, list) or not isinstance(raw_vertices, list):
         raise MatrixError("polytope JSON inequalities and vertices must be lists")

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from boolrel_oracles import all_bool_matrices, full_scan_is_maximal, rook_matrices
+from boolrel_oracles import all_bool_matrices, full_scan_is_maximal, rook_matrices, single_bit_is_maximal
 from conftest import rng, rand_nonneg_matrix
 from nilmat.boolrel import (
     BoolMatrix,
@@ -14,7 +15,14 @@ from nilmat.boolrel import (
     support_pattern,
 )
 from nilmat.exactmat import RMatrix, MatrixError
-from nilmat.omega import OrderedPartition, pattern_from_partition
+from nilmat.omega import (
+    LinearOrder,
+    OrderedPartition,
+    count_max_nilpotent,
+    iter_ordered_partitions,
+    pattern_from_order,
+    pattern_from_partition,
+)
 
 F = Fraction
 
@@ -141,8 +149,6 @@ def test_two_block_partition_pattern_is_maximal():
 
 
 def test_every_partition_pattern_is_maximal_in_both_ambients():
-    from nilmat.omega import iter_ordered_partitions
-
     for n in (1, 2, 3, 4):
         for k in range(1, n + 1):
             for p in iter_ordered_partitions(n, k):
@@ -181,11 +187,74 @@ def test_maximality_agrees_with_the_full_scan():
     assert bn == [True, True, False, False, True, True, False]
 
 
+def acyclic_patterns(n):
+    """Every labelled acyclic digraph on n vertices, each once: the subsets
+    of the n! total-order patterns."""
+    out = set()
+    for seq in permutations(range(1, n + 1)):
+        order_bits = pattern_from_order(LinearOrder(seq)).bits()
+        for code in range(1 << len(order_bits)):
+            rows = [0] * n
+            for b, (i, j) in enumerate(order_bits):
+                if code >> b & 1:
+                    rows[i] |= 1 << j
+            out.add(BoolMatrix(n, rows))
+    return out
+
+
+def test_maximal_patterns_are_the_partition_patterns():
+    # The paper's classification for Omega_n: the maximal nilpotent
+    # subsemigroups of class k are the patterns of the ordered k-partitions.
+    for n, expected_count in zip((1, 2, 3, 4, 5), (1, 3, 25, 543, 29281)):
+        acyclic = acyclic_patterns(n)
+        assert len(acyclic) == expected_count
+        maximal = [p for p in acyclic if is_maximal_nilpotent_pattern(p, "bn")]
+        for k in range(1, n + 1):
+            of_class_k = {p for p in maximal if nilpotency_index(p) == k}
+            assert of_class_k == {pattern_from_partition(q) for q in iter_ordered_partitions(n, k)}
+            assert len(of_class_k) == count_max_nilpotent(n, k)
+
+
+def random_partition(r, n):
+    elems = list(range(1, n + 1))
+    r.shuffle(elems)
+    cuts = sorted(r.sample(range(1, n), r.randint(0, n - 1)))
+    return OrderedPartition(elems[a:b] for a, b in zip([0] + cuts, cuts + [n]))
+
+
+def test_maximality_up_to_the_size_limit():
+    r = rng(14)
+    same_class_drops = 0
+    for n in range(6, 11):
+        for _ in range(4):
+            pattern = pattern_from_partition(random_partition(r, n))
+            assert is_maximal_nilpotent_pattern(pattern, "bn")
+            assert is_maximal_nilpotent_pattern(pattern, "rook")
+            k = nilpotency_index(pattern)
+            for i, j in pattern.bits():
+                rows = list(pattern.rows)
+                rows[i] &= ~(1 << j)
+                smaller = BoolMatrix(n, rows)
+                if nilpotency_index(smaller) == k:
+                    same_class_drops += 1
+                    assert not is_maximal_nilpotent_pattern(smaller, "bn")
+    assert same_class_drops > 0
+
+
+def test_maximality_agrees_with_the_single_bit_oracle_at_n5():
+    r = rng(15)
+    acyclic5 = sorted(acyclic_patterns(5), key=lambda p: p.rows)
+    sample = r.sample(acyclic5, 300)
+    verdicts = [is_maximal_nilpotent_pattern(p, "bn") for p in sample]
+    assert verdicts == [single_bit_is_maximal(p) for p in sample]
+    assert 0 < sum(verdicts) < len(sample)
+
+
 def test_maximality_oracle_rejects_bad_inputs():
     with pytest.raises(MatrixError):
         is_maximal_nilpotent_pattern(bits(2, (1, 2), (2, 1)), "bn")
     with pytest.raises(MatrixError):
-        is_maximal_nilpotent_pattern(BoolMatrix.empty(5), "bn")
+        is_maximal_nilpotent_pattern(BoolMatrix.empty(11), "bn")
     with pytest.raises(MatrixError):
         is_maximal_nilpotent_pattern(STRICT_UPPER_3, "weird")
 
@@ -203,3 +272,7 @@ def test_json_round_trip():
         BoolMatrix.from_json_dict({"bits": []})
     with pytest.raises(MatrixError):
         BoolMatrix.from_json_dict({"n": True, "bits": []})
+    with pytest.raises(MatrixError):
+        BoolMatrix.from_json_dict({"n": 2, "bits": 5})
+    with pytest.raises(MatrixError):
+        BoolMatrix.from_json_dict({"n": 2, "bits": None})

@@ -107,6 +107,14 @@ def test_omega_member(tmp_path, capsys):
     )
     assert code == 0 and out == "false\n"
 
+    for bad_bits in (5, None):
+        pattern.write_text(json.dumps({"n": 2, "bits": bad_bits}))
+        code, out, err = run(
+            capsys, "omega", "member", "--pattern", str(pattern), "--matrix", matrix,
+            "--kind", "omega",
+        )
+        assert code == 1 and out == "" and "error:" in err
+
 
 def test_nilcheck_ambients(tmp_path, capsys):
     upper = write_matrix(tmp_path / "u.json", RMatrix([[0, 1], [0, 0]]))

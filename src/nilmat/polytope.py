@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from operator import mul
 
 from .exactmat import (
     RMatrix,
@@ -263,20 +264,67 @@ def _affine_rank(points):
     return rank(diff)
 
 
-def facet_incidence(h, v):
-    """Facet-defining inequalities with their tight vertex index lists.
+def _dimension(h, v):
+    """Affine dimension of the bounded polytope h with vertex set v, or -1
+    when it is empty.
 
-    An inequality is a facet when its tight vertices affinely span
-    dimension d-1.
+    Only a bounded polytope is the convex hull of its vertices, so an
+    unbounded h is refused. When every constant is positive, x = 0
+    satisfies every row strictly and is an interior point, so the polytope
+    is full-dimensional without a rank computation; every polytope that
+    build_h_polytope returns is of this kind (each constant is 1/n).
     """
-    out = []
+    if h.d > MAX_DIMENSION or _double_description(h)[1]:
+        raise MatrixError(
+            f"facets are defined for bounded polytopes with d <= {MAX_DIMENSION} only"
+        )
+    if not v.vertices:
+        return -1
+    if all(iq.constant > 0 for iq in h.inequalities):
+        return h.d
+    return _affine_rank(list(v.vertices))
+
+
+def facet_incidence(h, v):
+    """Facet-defining inequalities with their tight vertex index lists, for
+    a bounded polytope h with vertex set v.
+
+    A row defines a facet when its tight vertices affinely span dimension
+    d - 1. Each row's tight vertices form one bitmask, computed in integers
+    from the canonical integer row and the primitive integer vector
+    (t, t * x) of each vertex x; the masks decide the rule without a rank
+    per row:
+
+    * Full-dimensional polytope: each row's tight set is a face, and every
+      facet is one of them, because an inequality description holds a row
+      on each facet. Every proper face lies inside a facet, so a row
+      defines a facet exactly when its set is nonempty, proper and
+      inclusion-maximal among the rows' sets.
+    * Dimension d - 1: the polytope is its only face of that dimension, so
+      the facets are the rows tight on every vertex.
+    * Lower dimension: no face spans d - 1, so there are no facets.
+    """
+    dim = _dimension(h, v)
+    if dim < h.d - 1:
+        return []
+    rays = [_primitive((ONE,) + p) for p in v.vertices]
+    masks = []
     for iq in h.inequalities:
-        tight = [i for i, p in enumerate(v.vertices) if iq.evaluate(p) == 0]
-        if len(tight) < h.d:
-            continue
-        if _affine_rank([v.vertices[i] for i in tight]) == h.d - 1:
-            out.append((iq, tuple(tight)))
-    return out
+        row = tuple(map(int, iq.key()))
+        masks.append(sum(1 << i for i, y in enumerate(rays) if not sum(map(mul, row, y))))
+    everything = (1 << len(rays)) - 1
+    if dim == h.d - 1:
+        chosen = [m == everything for m in masks]
+    else:
+        chosen = [
+            0 < m < everything and not any(o != m and o & m == m for o in masks)
+            for m in masks
+        ]
+    return [
+        (iq, tuple(i for i in range(len(rays)) if m >> i & 1))
+        for iq, m, keep in zip(h.inequalities, masks, chosen)
+        if keep
+    ]
 
 
 def facet_census(h, v):
@@ -385,7 +433,7 @@ def _cross(a, b):
 def _to_off(v, h):
     if h.d != 3:
         raise MatrixError("OFF export defined for 3-dimensional polytopes only")
-    if _affine_rank(list(v.vertices)) != 3:
+    if _dimension(h, v) != 3:
         raise MatrixError("degenerate polytope: vertices do not span 3 dimensions")
     faces = [
         _ordered_face(tight, v.vertices, iq.coeffs)

@@ -1,7 +1,9 @@
 """Brute-force H-polytope oracles: the exhaustive tight-subset vertex
 search and the certificate-plus-ray-enumeration boundedness test that
-nilmat.polytope used before its double description routine. Exponential
-in the number of inequalities; meant for d <= 4."""
+nilmat.polytope used before its double description routine, exponential
+in the number of inequalities and meant for d <= 4; and the per-row rank
+test that facet_incidence used before it read facets off the vertex-row
+incidence."""
 
 from itertools import combinations
 
@@ -60,3 +62,21 @@ def _left_kernel_projection(a, guess):
 
 def _feasible(rows, y):
     return all(_dot(r, y) >= 0 for r in rows)
+
+
+def rank_facet_incidence(h, v):
+    """A row is a facet when its tight vertices, found by evaluating it in
+    Fractions, affinely span dimension d - 1: one exact rank per row."""
+    out = []
+    for iq in h.inequalities:
+        tight = [i for i, p in enumerate(v.vertices) if iq.evaluate(p) == 0]
+        if len(tight) < h.d:
+            continue
+        if _affine_rank([v.vertices[i] for i in tight]) == h.d - 1:
+            out.append((iq, tuple(tight)))
+    return out
+
+
+def _affine_rank(points):
+    base = points[0]
+    return rank(RMatrix([[x - b for x, b in zip(p, base)] for p in points[1:]])) if points[1:] else 0

@@ -1,21 +1,30 @@
-"""Property tests for vertex enumeration and boundedness: the double
-description routine against the brute-force oracles on small random
-H-polytopes, and Euler's relation on random flag polytopes."""
+"""Property tests for vertex enumeration, boundedness and facets: the
+double description routine against the brute-force oracles and the
+incidence facet rule against the per-row rank rule, on small random
+H-polytopes and on random flag polytopes; and the facet structure those
+polytopes must have."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rng, rand_frame
+from conftest import rng, rand_frame, rand_tree_frame
+from nilmat.exactmat import MatrixError
 from nilmat.polytope import (
     HPolytope,
     LinearInequality,
     build_h_polytope,
     enumerate_vertices,
+    facet_census,
     facet_incidence,
     is_bounded,
 )
-from polytope_oracles import brute_force_is_bounded, brute_force_vertices
+from polytope_oracles import (
+    brute_force_is_bounded,
+    brute_force_vertices,
+    rank_facet_incidence,
+)
 
 # derandomized and without an example database, so every run checks the
 # same examples and writes nothing
@@ -39,6 +48,10 @@ def h_polytopes(draw):
     if rows and draw(st.booleans()):
         constant, coeffs = rows[draw(st.integers(0, len(rows) - 1))]
         rows.append((-constant, [-c for c in coeffs]))
+    return polytope(d, rows)
+
+
+def polytope(d, rows):
     return HPolytope(
         d,
         [LinearInequality(Fraction(c), tuple(Fraction(x) for x in a)) for c, a in rows],
@@ -50,6 +63,72 @@ def h_polytopes(draw):
 def test_double_description_agrees_with_brute_force(h):
     assert set(enumerate_vertices(h).vertices) == brute_force_vertices(h)
     assert is_bounded(h) == brute_force_is_bounded(h)
+
+
+@PROPERTY
+@given(h_polytopes())
+def test_facet_incidence_agrees_with_rank_oracle(h):
+    v = enumerate_vertices(h)
+    if is_bounded(h):
+        assert facet_incidence(h, v) == rank_facet_incidence(h, v)
+    else:
+        with pytest.raises(MatrixError):
+            facet_incidence(h, v)
+
+
+@pytest.fixture(scope="module")
+def frame_polytopes():
+    """(h, v) of seeded dense n=4 (d=3) and tree n=5 (d=6) flag polytopes."""
+    r = rng(43)
+    frames = [rand_frame(r, 4) for _ in range(30)] + [rand_tree_frame(r, 5) for _ in range(10)]
+    return [(h, enumerate_vertices(h)) for h in map(build_h_polytope, frames)]
+
+
+def test_facet_incidence_agrees_with_rank_oracle_on_frames(frame_polytopes):
+    for h, v in frame_polytopes:
+        assert facet_incidence(h, v) == rank_facet_incidence(h, v)
+
+
+def test_facet_rows_alone_give_back_the_vertices(frame_polytopes):
+    for h, v in frame_polytopes:
+        facets = HPolytope(h.d, [iq for iq, _ in facet_incidence(h, v)])
+        assert enumerate_vertices(facets) == v
+
+
+def test_every_vertex_lies_on_at_least_d_facets(frame_polytopes):
+    for h, v in frame_polytopes:
+        on = [0] * len(v.vertices)
+        for _, tight in facet_incidence(h, v):
+            for i in tight:
+                on[i] += 1
+        assert min(on) >= h.d
+
+
+def test_facet_incidence_on_lower_dimensional_polytopes():
+    # the segment [0, 1] x {0} and the point (0, 0) in the plane, each cut
+    # out with an opposite row pair
+    segment = polytope(2, [(0, [1, 0]), (1, [-1, 0]), (0, [0, 1]), (0, [0, -1])])
+    point = polytope(2, [(0, [1, 0]), (0, [-1, 0]), (0, [0, 1]), (0, [0, -1])])
+    for h in (segment, point):
+        v = enumerate_vertices(h)
+        assert facet_incidence(h, v) == rank_facet_incidence(h, v)
+    v = enumerate_vertices(segment)
+    assert [iq.key() for iq, _ in facet_incidence(segment, v)] == [(0, 0, -1), (0, 0, 1)]
+    assert all(tight == (0, 1) for _, tight in facet_incidence(segment, v))
+    assert facet_incidence(point, enumerate_vertices(point)) == []
+
+
+def test_facet_incidence_refuses_unbounded_polytopes():
+    # positive constants, so x = 0 is interior, but the vertices span only
+    # the segment between (-1, 0) and (0, -1): the vertex hull is not the
+    # polytope
+    h = polytope(3, [(1, [1, 0, 0]), (1, [0, 1, 0]), (1, [1, 1, 0]), (1, [0, 0, 1])])
+    v = enumerate_vertices(h)
+    assert not is_bounded(h) and len(v.vertices) == 2
+    with pytest.raises(MatrixError, match="bounded"):
+        facet_incidence(h, v)
+    with pytest.raises(MatrixError, match="bounded"):
+        facet_census(h, v)
 
 
 def test_euler_relation_on_random_frame_polytopes():

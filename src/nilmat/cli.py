@@ -6,6 +6,7 @@ errors exit with status 1, usage errors with status 2.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -21,6 +22,14 @@ def _load_json(path):
         raise MatrixError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MatrixError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _write_file(path, data):
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise MatrixError(f"cannot write {path}: {exc}") from exc
 
 
 def _read_matrix(path):
@@ -72,8 +81,7 @@ def _cmd_omega_enumerate(args, out):
             "count": len(partitions),
             "partitions": [[list(b) for b in p.blocks] for p in partitions],
         }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(_dump(payload))
+        _write_file(args.json, _dump(payload).encode())
         out.write(f"wrote {len(partitions)} partitions to {args.json}\n")
     else:
         for p in partitions:
@@ -145,14 +153,16 @@ def _cmd_polytope_build(args, out):
         census = polytope.facet_census(h, v)
         body = ", ".join(f"{size}: {count}" for size, count in sorted(census.items()))
         out.write(f"facet census = {{{body}}}\n")
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(polytope.export_polytope(v, h, "json"))
-        out.write(f"wrote {args.out}\n")
-    if args.off:
-        with open(args.off, "wb") as fh:
-            fh.write(polytope.export_polytope(v, h, "off"))
-        out.write(f"wrote {args.off}\n")
+    # serialise every export before opening any file, so a failed export
+    # leaves existing files as they were
+    exports = [
+        (path, polytope.export_polytope(v, h, fmt))
+        for path, fmt in ((args.out, "json"), (args.off, "off"))
+        if path
+    ]
+    for path, data in exports:
+        _write_file(path, data)
+        out.write(f"wrote {path}\n")
     return 0
 
 
@@ -285,9 +295,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use and reused by every later main call."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
     except (MatrixError, ValueError) as exc:

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import nilmat
+from nilmat import cli
 from nilmat.cli import main
 from nilmat.exactmat import RMatrix
 from nilmat.qflag import FlagFrame, q_zero
@@ -59,6 +64,82 @@ def test_usage_error_exits_2(capsys):
         main(["q", "make-nilpotent", "--frame", "f.json", "--b", "b.json", "--alpha", "x"])
     assert exc.value.code == 2
     assert "argument --alpha:" in capsys.readouterr().err
+
+
+def test_in_process_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    """main builds the parser once; every later call must still give the
+    bytes and exit code of a fresh `python -m nilmat.cli` process."""
+    sequence = [
+        ["omega", "count", "--n", "4", "--k", "3"],
+        ["omega", "count", "--n", "3", "--k", "9"],
+        ["omega", "count", "--n", "4"],
+        ["nope"],
+        ["omega", "pattern", "--order", "1,x"],
+        ["polytope", "build", "--frame", "frame.json", "--census"],
+        ["q", "make-nilpotent", "--frame", "frame.json", "--b", "b.json", "--alpha", "x"],
+        ["omega", "count", "--n", "4", "--k", "3"],
+    ]
+    write_json(tmp_path / "frame.json", reference.reference_frame().to_json_dict())
+    monkeypatch.chdir(tmp_path)
+    # usage text wraps at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilmat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    in_process = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert len(builds) == 1
+    assert [code for code, _, _ in in_process] == [0, 1, 2, 2, 2, 0, 2, 0]
+
+    for argv, got in zip(sequence, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "nilmat.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["omega", "enumerate", "--n", "3", "--k", "2", "--json"],
+        ["polytope", "build", "--frame", "frame.json", "--out"],
+        ["polytope", "build", "--frame", "frame.json", "--off"],
+    ],
+)
+def test_unwritable_output_path_is_a_domain_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "frame.json", reference.reference_frame().to_json_dict())
+    target = os.path.join("missing", "x")
+    code, _, err = run(capsys, *argv, target)
+    assert code == 1
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
+def test_failed_export_keeps_existing_files(tmp_path, monkeypatch, capsys):
+    # the OFF mesh is refused at d = 6; neither target may be touched
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "frame.json", FlagFrame.standard(5).to_json_dict())
+    for name in ("x.json", "x.off"):
+        (tmp_path / name).write_bytes(b"keep me\n")
+    code, out, err = run(
+        capsys, "polytope", "build", "--frame", "frame.json", "--out", "x.json", "--off", "x.off"
+    )
+    assert code == 1
+    assert err == "error: OFF export defined for 3-dimensional polytopes only\n"
+    assert "wrote" not in out
+    for name in ("x.json", "x.off"):
+        assert (tmp_path / name).read_bytes() == b"keep me\n"
 
 
 def test_omega_enumerate_text_and_json(tmp_path, capsys):

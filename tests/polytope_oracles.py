@@ -78,5 +78,7 @@ def rank_facet_incidence(h, v):
 
 
 def _affine_rank(points):
+    if len(points) <= 1:
+        return 0
     base = points[0]
-    return rank(RMatrix([[x - b for x, b in zip(p, base)] for p in points[1:]])) if points[1:] else 0
+    return rank(RMatrix([[x - b for x, b in zip(p, base)] for p in points[1:]]))

@@ -9,7 +9,7 @@ makes composition a handful of bitwise ORs.
 from .exactmat import MatrixError, _is_int
 
 _CLOSURE_MAX_N = 5
-_MAXIMALITY_MAX_N = 10
+_MAXIMALITY_MAX_N = 10  # also the bound of omega.iter_ordered_partitions
 
 
 class BoolMatrix:

@@ -127,13 +127,6 @@ def _cmd_q_member(args, out):
     return 0
 
 
-def _cmd_q_nilclass(args, out):
-    a = _read_matrix(args.matrix)
-    cls = qflag.nilpotency_class(a)
-    out.write(f"{cls}\n" if cls is not None else "not nilpotent\n")
-    return 0
-
-
 def _cmd_q_make_nilpotent(args, out):
     frame = _read_frame(args.frame)
     b = _read_matrix(args.b)
@@ -145,16 +138,19 @@ def _cmd_polytope_build(args, out):
     frame = _read_frame(args.frame)
     h = polytope.build_h_polytope(frame)
     v = polytope.enumerate_vertices(h)
-    out.write(f"d = {h.d}\n")
-    out.write(f"inequalities = {len(h.inequalities)}\n")
-    out.write(f"vertices = {len(v.vertices)}\n")
-    out.write(f"bounded = {'true' if polytope.is_bounded(h) else 'false'}\n")
+    lines = [
+        f"d = {h.d}\n",
+        f"inequalities = {len(h.inequalities)}\n",
+        f"vertices = {len(v.vertices)}\n",
+        f"bounded = {'true' if polytope.is_bounded(h) else 'false'}\n",
+    ]
     if args.census:
         census = polytope.facet_census(h, v)
         body = ", ".join(f"{size}: {count}" for size, count in sorted(census.items()))
-        out.write(f"facet census = {{{body}}}\n")
+        lines.append(f"facet census = {{{body}}}\n")
     # serialise every export before opening any file, so a failed export
-    # leaves existing files as they were
+    # leaves existing files as they were; stdout is written last, so any
+    # error leaves it empty
     exports = [
         (path, polytope.export_polytope(v, h, fmt))
         for path, fmt in ((args.out, "json"), (args.off, "off"))
@@ -162,7 +158,8 @@ def _cmd_polytope_build(args, out):
     ]
     for path, data in exports:
         _write_file(path, data)
-        out.write(f"wrote {path}\n")
+        lines.append(f"wrote {path}\n")
+    out.write("".join(lines))
     return 0
 
 
@@ -267,7 +264,7 @@ def build_parser():
 
     p = qsub.add_parser("nilclass", help="nilpotency class relative to the flat matrix")
     p.add_argument("--matrix", required=True)
-    p.set_defaults(func=_cmd_q_nilclass)
+    p.set_defaults(func=_cmd_nilcheck, ambient="q")
 
     p = qsub.add_parser("make-nilpotent", help="doubly stochastic nilpotent from a reduced matrix")
     p.add_argument("--frame", required=True)

@@ -8,7 +8,7 @@ test against the pattern.
 
 import math
 
-from .boolrel import BoolMatrix, is_rook, nilpotency_index
+from .boolrel import _MAXIMALITY_MAX_N, BoolMatrix, is_rook, nilpotency_index
 from .exactmat import RMatrix, MatrixError, ONE, ZERO, int_tuple
 
 KINDS = ("omega", "m0", "m0plus")
@@ -40,10 +40,6 @@ class LinearOrder:
     @property
     def n(self):
         return len(self.seq)
-
-    def positions(self):
-        """Map element -> 0-based slot in the order."""
-        return {e: t for t, e in enumerate(self.seq)}
 
     def __str__(self):
         return ",".join(str(x) for x in self.seq)
@@ -91,7 +87,8 @@ class OrderedPartition:
 
     @classmethod
     def singletons(cls, order):
-        return cls((x,) for x in order.seq)
+        # a LinearOrder is already a validated permutation
+        return cls._trusted(tuple((x,) for x in order.seq))
 
     @property
     def n(self):
@@ -128,31 +125,23 @@ def pattern_from_order(order):
     Bit (k, l) is set exactly when k comes before l, so the pattern has
     n(n-1)/2 bits and is the strict upper triangle after relabelling.
     """
-    pos = order.positions()
-    n = order.n
-    pairs = [
-        (i - 1, j - 1)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j and pos[i] < pos[j]
-    ]
-    pattern = BoolMatrix.from_pairs(n, pairs)
-    assert pattern.bit_count() == n * (n - 1) // 2
+    pattern = pattern_from_partition(OrderedPartition.singletons(order))
+    assert pattern.bit_count() == order.n * (order.n - 1) // 2
     return pattern
 
 
 def pattern_from_partition(partition):
     """Support pattern of the class-k subsemigroup labelled by an ordered
     partition: bit (i, j) is set when i's block comes strictly before j's."""
-    bidx = partition.block_indices()
-    n = partition.n
-    pairs = [
-        (i - 1, j - 1)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if bidx[i] < bidx[j]
-    ]
-    return BoolMatrix.from_pairs(n, pairs)
+    rows = [0] * partition.n
+    later = 0  # the elements of the blocks after the current one
+    for block in reversed(partition.blocks):
+        mask = 0
+        for x in block:
+            rows[x - 1] = later
+            mask |= 1 << (x - 1)
+        later |= mask
+    return BoolMatrix(len(rows), rows)
 
 
 def membership(a, pattern, kind="omega"):
@@ -168,10 +157,10 @@ def membership(a, pattern, kind="omega"):
         raise MatrixError("matrix size must match the pattern size")
     if kind in ("omega", "m0plus") and a.min_entry() < 0:
         return False
-    positions = a.nonzero_positions()
-    if kind in ("m0", "m0plus") and not is_rook(BoolMatrix.from_pairs(a.rows, positions)):
+    support = BoolMatrix.from_pairs(a.rows, a.nonzero_positions())
+    if kind in ("m0", "m0plus") and not is_rook(support):
         return False
-    return all(pattern.has_bit(i, j) for i, j in positions)
+    return support.is_subset(pattern)
 
 
 def count_max_nilpotent(n, k):
@@ -191,26 +180,20 @@ def iter_ordered_partitions(n, k):
     of n)."""
     if not (1 <= k <= n):
         raise MatrixError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if n > 10:
-        raise MatrixError("partition enumeration limited to n <= 10")
-    assign = [0] * n
+    if n > _MAXIMALITY_MAX_N:
+        raise MatrixError(f"partition enumeration limited to n <= {_MAXIMALITY_MAX_N}")
 
-    def rec(i, used_mask):
-        if i == n:
-            blocks = [[] for _ in range(k)]
-            for elem0, b in enumerate(assign):
-                blocks[b - 1].append(elem0 + 1)
-            yield OrderedPartition._trusted(tuple(tuple(b) for b in blocks))
+    def rec(e, blocks, empty):
+        # place element e; `empty` of the k blocks are still empty
+        if e > n:
+            yield OrderedPartition._trusted(blocks)
             return
-        remaining = n - i - 1
-        for b in range(1, k + 1):
-            mask = used_mask | (1 << b)
-            if k - mask.bit_count() > remaining:
-                continue
-            assign[i] = b
-            yield from rec(i + 1, mask)
+        for b in range(k):
+            left = empty - (not blocks[b])
+            if left <= n - e:
+                yield from rec(e + 1, blocks[:b] + (blocks[b] + (e,),) + blocks[b + 1 :], left)
 
-    yield from rec(0, 0)
+    yield from rec(1, ((),) * k, k)
 
 
 def enumerate_partitions(n, k):

@@ -376,7 +376,11 @@ def polytope_from_json_dict(obj):
     if any(not isinstance(p, list) for p in raw_vertices):
         raise MatrixError("each polytope vertex must be a list")
     vertices = [tuple(parse_rational(x) for x in p) for p in raw_vertices]
-    return HPolytope(d, ineqs), VPolytope(d, vertices)
+    h, v = HPolytope(d, ineqs), VPolytope(d, vertices)
+    for p in vertices:
+        if any(iq.evaluate(p) < 0 for iq in h.inequalities):
+            raise MatrixError(f"polytope vertex ({', '.join(map(str, p))}) violates an inequality")
+    return h, v
 
 
 def _decimal_str(value, digits=20):

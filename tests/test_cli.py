@@ -142,6 +142,28 @@ def test_failed_export_keeps_existing_files(tmp_path, monkeypatch, capsys):
         assert (tmp_path / name).read_bytes() == b"keep me\n"
 
 
+@pytest.mark.parametrize(
+    "opt, message",
+    [
+        ("--census", "facet census defined for 3-dimensional polytopes only"),
+        ("--off", "OFF export defined for 3-dimensional polytopes only"),
+    ],
+    ids=["census", "off"],
+)
+def test_refused_build_leaves_stdout_empty(opt, message, tmp_path, monkeypatch, capsys):
+    # d = 6: the census and the OFF mesh are refused after vertex enumeration
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "frame.json", FlagFrame.standard(5).to_json_dict())
+    argv = ["polytope", "build", "--frame", "frame.json", opt]
+    if opt == "--off":
+        argv.append("x.off")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "x.off").exists()
+
+
 def test_omega_enumerate_text_and_json(tmp_path, capsys):
     code, out, _ = run(capsys, "omega", "enumerate", "--n", "3", "--k", "2")
     assert code == 0
@@ -353,6 +375,26 @@ def test_polytope_build_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
         if written in opts:
             digests[written] = hashlib.sha256((tmp_path / written).read_bytes()).hexdigest()
     assert digests == GOLDEN_BUILDS[name]
+
+
+# sha256 of `omega enumerate` output, pinned from the assignment-vector
+# enumerator that preceded the block-carrying one
+def test_omega_enumerate_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    code, out, _ = run(capsys, "omega", "enumerate", "--n", "8", "--k", "4")
+    assert code == 0
+    assert len(out.splitlines()) == 40824
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "ecd2061ad908902f894fc9433fa421845fc68985816a48615941ad450fa934bd"
+    )
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "omega", "enumerate", "--n", "7", "--k", "4", "--json", "p.json")
+    assert code == 0
+    assert out == "wrote 8400 partitions to p.json\n"
+    assert (
+        hashlib.sha256((tmp_path / "p.json").read_bytes()).hexdigest()
+        == "8899f7c7772aafb6a1910a5f602f5dd7aaef63be618221b0512b214e2e309809"
+    )
 
 
 def test_verify_dataset(capsys):

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from conftest import rng, rand_pattern_supported
+from conftest import rng, rand_matrix, rand_pattern_supported
 from nilmat.boolrel import BoolMatrix
 from nilmat.exactmat import RMatrix, MatrixError
 from nilmat.omega import (
@@ -22,6 +22,7 @@ from nilmat.omega import (
     pattern_from_order,
     pattern_from_partition,
 )
+from omega_oracles import assignment_partitions, pair_order_pattern, pair_partition_pattern
 
 F = Fraction
 
@@ -142,7 +143,7 @@ def test_enumeration_canonical_order():
         "3|2|1",
     }
 
-    with pytest.raises(MatrixError):
+    with pytest.raises(MatrixError, match="partition enumeration limited to n <= 10"):
         enumerate_partitions(11, 2)
     with pytest.raises(MatrixError):
         enumerate_partitions(3, 0)
@@ -152,6 +153,46 @@ def test_enumeration_matches_count_small():
     for n in range(1, 7):
         for k in range(1, n + 1):
             assert len(enumerate_partitions(n, k)) == count_max_nilpotent(n, k)
+
+
+def test_enumeration_matches_the_assignment_oracle():
+    # every 1 <= k <= n <= 7, in order: 52,609 partitions
+    total = 0
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            got = enumerate_partitions(n, k)
+            assert got == list(assignment_partitions(n, k))
+            total += len(got)
+    assert total == 52609
+
+
+def test_pattern_builders_match_the_pair_oracles():
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            for p in iter_ordered_partitions(n, k):
+                assert pattern_from_partition(p) == pair_partition_pattern(p)
+    for n in range(1, 7):
+        for perm in permutations(range(1, n + 1)):
+            o = LinearOrder(perm)
+            assert pattern_from_order(o) == pair_order_pattern(o)
+
+
+def test_membership_matches_the_bit_by_bit_test():
+    r = rng(22)
+    for _ in range(200):
+        n = r.randint(1, 4)
+        pattern = BoolMatrix(n, [r.randrange(1 << n) for _ in range(n)])
+        a = rand_matrix(r, n)
+        a = RMatrix([[x if r.random() < 0.4 else 0 for x in a.row(i)] for i in range(n)])
+        for kind in ("omega", "m0", "m0plus"):
+            expected = all(pattern.has_bit(i, j) for i, j in a.nonzero_positions())
+            if kind != "m0" and a.min_entry() < 0:
+                expected = False
+            if kind != "omega":
+                per_row = [sum(1 for j in range(n) if a.row(i)[j] != 0) for i in range(n)]
+                per_col = [sum(1 for i in range(n) if a.row(i)[j] != 0) for j in range(n)]
+                expected = expected and max(per_row + per_col) <= 1
+            assert membership(a, pattern, kind) == expected
 
 
 def test_partition_patterns_are_per_class_antichains():

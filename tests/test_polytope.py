@@ -262,10 +262,20 @@ def test_json_dict_rejects_garbage():
         {"d": 1, "inequalities": 5, "vertices": []},
         {"d": 1, "inequalities": [], "vertices": 5},
         {"d": 1, "inequalities": [], "vertices": [5]},
+        {
+            "d": 2,
+            "inequalities": [
+                {"constant": "1", "coeffs": c}
+                for c in (["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"])
+            ],
+            "vertices": [["1", "-1"], ["5", "5"], ["6", "6"]],
+        },
     ],
 )
 def test_json_dict_malformed_structure_is_a_matrix_error(obj):
-    with pytest.raises(MatrixError):
+    # the box |x|, |y| <= 1 names the first vertex outside it
+    match = r"\(5, 5\) violates" if obj["d"] == 2 else None
+    with pytest.raises(MatrixError, match=match):
         polytope_from_json_dict(obj)
 
 

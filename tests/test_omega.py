@@ -184,15 +184,13 @@ def test_membership_matches_the_bit_by_bit_test():
         pattern = BoolMatrix(n, [r.randrange(1 << n) for _ in range(n)])
         a = rand_matrix(r, n)
         a = RMatrix([[x if r.random() < 0.4 else 0 for x in a.row(i)] for i in range(n)])
-        for kind in ("omega", "m0", "m0plus"):
-            expected = all(pattern.has_bit(i, j) for i, j in a.nonzero_positions())
-            if kind != "m0" and a.min_entry() < 0:
-                expected = False
-            if kind != "omega":
-                per_row = [sum(1 for j in range(n) if a.row(i)[j] != 0) for i in range(n)]
-                per_col = [sum(1 for i in range(n) if a.row(i)[j] != 0) for j in range(n)]
-                expected = expected and max(per_row + per_col) <= 1
-            assert membership(a, pattern, kind) == expected
+        positions = a.nonzero_positions()
+        inside = all(pattern.has_bit(i, j) for i, j in positions)
+        nonneg = a.min_entry() >= 0
+        rook = len({i for i, _ in positions}) == len(positions) == len({j for _, j in positions})
+        assert membership(a, pattern, "omega") == (inside and nonneg)
+        assert membership(a, pattern, "m0") == (inside and rook)
+        assert membership(a, pattern, "m0plus") == (inside and nonneg and rook)
 
 
 def test_partition_patterns_are_per_class_antichains():

@@ -20,7 +20,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise MatrixError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise MatrixError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -73,19 +73,20 @@ def _cmd_omega_count(args, out):
 
 
 def _cmd_omega_enumerate(args, out):
-    partitions = omega.enumerate_partitions(args.n, args.k)
-    if args.json:
-        payload = {
-            "n": args.n,
-            "k": args.k,
-            "count": len(partitions),
-            "partitions": [[list(b) for b in p.blocks] for p in partitions],
-        }
-        _write_file(args.json, _dump(payload).encode())
-        out.write(f"wrote {len(partitions)} partitions to {args.json}\n")
-    else:
-        for p in partitions:
+    if not args.json:
+        # streamed: memory stays flat however many partitions there are
+        for p in omega.iter_ordered_partitions(args.n, args.k):
             out.write(f"{p}\n")
+        return 0
+    partitions = omega.enumerate_partitions(args.n, args.k)
+    payload = {
+        "n": args.n,
+        "k": args.k,
+        "count": len(partitions),
+        "partitions": [[list(b) for b in p.blocks] for p in partitions],
+    }
+    _write_file(args.json, _dump(payload).encode())
+    out.write(f"wrote {len(partitions)} partitions to {args.json}\n")
     return 0
 
 
@@ -164,10 +165,7 @@ def _cmd_polytope_build(args, out):
 
 
 def _cmd_verify(args, out):
-    try:
-        ok, checks = reference.verify(args.dataset)
-    except KeyError as exc:
-        raise MatrixError(str(exc)) from exc
+    ok, checks = reference.verify(args.dataset)
     if args.json:
         out.write(_dump({"dataset": args.dataset, "ok": ok, "checks": checks}))
     else:

@@ -21,11 +21,11 @@ from .exactmat import (
     RMatrix,
     MatrixError,
     _dot,
+    _int_vector,
     _is_int,
     _reduce,
     format_rational,
     parse_rational,
-    rank,
     solve_unique,
     ONE,
     ZERO,
@@ -165,27 +165,25 @@ def build_h_polytope(frame):
 
 def enumerate_vertices(h):
     """All vertices, exactly, by the double description method."""
-    d = h.d
-    if d > MAX_DIMENSION or len(h.inequalities) > MAX_INEQUALITIES:
-        raise MatrixError(
-            f"vertex enumeration limited to d <= {MAX_DIMENSION} and "
-            f"{MAX_INEQUALITIES} inequalities"
-        )
-    return VPolytope(d, _double_description(h)[0])
+    return VPolytope(h.d, _double_description(h)[0])
 
 
 def is_bounded(h):
     """Is the recession cone {y : coeffs . y >= 0 for all inequalities}
     trivial? The cone does not depend on feasibility, so an empty polytope
     counts as unbounded when the cone is nontrivial."""
-    if h.d > MAX_DIMENSION:
-        raise MatrixError(f"boundedness test limited to d <= {MAX_DIMENSION}")
     return not _double_description(h)[1]
 
 
 def _double_description(h):
-    """(vertices, unbounded) of h, computed once per HPolytope."""
+    """(vertices, unbounded) of h, computed once per HPolytope within the
+    size limits."""
     if h._dd is None:
+        if h.d > MAX_DIMENSION or len(h.inequalities) > MAX_INEQUALITIES:
+            raise MatrixError(
+                f"vertex enumeration limited to d <= {MAX_DIMENSION} and "
+                f"{MAX_INEQUALITIES} inequalities"
+            )
         h._dd = _run_double_description(h)
     return h._dd
 
@@ -240,8 +238,11 @@ def _run_double_description(h):
                     r is not p and r is not n and r[1] & common == common for r in rays
                 ):
                     continue
+                # an integer combination of two independent rays: nonzero,
+                # and only its gcd needs dividing out
                 w = [sp * b - sn * a for a, b in zip(p[0], n[0])]
-                kept.append((_primitive(w), common | bit))
+                g = math.gcd(*w)
+                kept.append((tuple(x // g for x in w), common | bit))
         rays = kept
     vertices = [tuple(Fraction(x, y[0]) for x in y[1:]) for y, _ in rays if y[0]]
     return vertices, any(y[0] == 0 for y, _ in rays)
@@ -250,39 +251,9 @@ def _run_double_description(h):
 def _primitive(values):
     """The coprime integer vector on the ray of a rational vector (zero
     stays zero)."""
-    scale = math.lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (scale // v.denominator) for v in values]
+    ints, _ = _int_vector(values)
     g = math.gcd(*ints) or 1
     return tuple(x // g for x in ints)
-
-
-def _affine_rank(points):
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    diff = RMatrix([[x - b for x, b in zip(p, base)] for p in points[1:]])
-    return rank(diff)
-
-
-def _dimension(h, v):
-    """Affine dimension of the bounded polytope h with vertex set v, or -1
-    when it is empty.
-
-    Only a bounded polytope is the convex hull of its vertices, so an
-    unbounded h is refused. When every constant is positive, x = 0
-    satisfies every row strictly and is an interior point, so the polytope
-    is full-dimensional without a rank computation; every polytope that
-    build_h_polytope returns is of this kind (each constant is 1/n).
-    """
-    if h.d > MAX_DIMENSION or _double_description(h)[1]:
-        raise MatrixError(
-            f"facets are defined for bounded polytopes with d <= {MAX_DIMENSION} only"
-        )
-    if not v.vertices:
-        return -1
-    if all(iq.constant > 0 for iq in h.inequalities):
-        return h.d
-    return _affine_rank(list(v.vertices))
 
 
 def facet_incidence(h, v):
@@ -292,34 +263,41 @@ def facet_incidence(h, v):
     A row defines a facet when its tight vertices affinely span dimension
     d - 1. Each row's tight vertices form one bitmask, computed in integers
     from the canonical integer row and the primitive integer vector
-    (t, t * x) of each vertex x; the masks decide the rule without a rank
-    per row:
+    (t, t * x) of each vertex x. The rows tight on every vertex are the
+    implicit equalities, and the polytope has dimension d minus their rank
+    (Schrijver, Theory of Linear and Integer Programming, 8.2); the rank is
+    taken with the constants, so an empty polytope, where every row counts
+    as implicit, comes out below d - 1. The masks then decide the rule:
 
-    * Full-dimensional polytope: each row's tight set is a face, and every
-      facet is one of them, because an inequality description holds a row
-      on each facet. Every proper face lies inside a facet, so a row
-      defines a facet exactly when its set is nonempty, proper and
-      inclusion-maximal among the rows' sets.
+    * Full dimension (zero rows at most are implicit): each row's tight set
+      is a face, and every facet is one of them, because an inequality
+      description holds a row on each facet. Every proper face lies inside
+      a facet, so a row defines a facet exactly when its set is nonempty,
+      proper and inclusion-maximal among the proper sets.
     * Dimension d - 1: the polytope is its only face of that dimension, so
-      the facets are the rows tight on every vertex.
+      the facets are the implicit rows.
     * Lower dimension: no face spans d - 1, so there are no facets.
     """
-    dim = _dimension(h, v)
-    if dim < h.d - 1:
-        return []
+    if _double_description(h)[1]:
+        raise MatrixError(
+            f"facets are defined for bounded polytopes with d <= {MAX_DIMENSION} only"
+        )
     rays = [_primitive((ONE,) + p) for p in v.vertices]
-    masks = []
-    for iq in h.inequalities:
-        row = tuple(map(int, iq.key()))
-        masks.append(sum(1 << i for i, y in enumerate(rays) if not sum(map(mul, row, y))))
+    rows = [tuple(map(int, iq.key())) for iq in h.inequalities]
+    masks = [sum(1 << i for i, y in enumerate(rays) if not sum(map(mul, row, y))) for row in rows]
     everything = (1 << len(rays)) - 1
-    if dim == h.d - 1:
-        chosen = [m == everything for m in masks]
-    else:
+    implicit = [list(row) for row, m in zip(rows, masks) if m == everything]
+    codim = len(_reduce(implicit, h.d + 1))
+    if codim == 0:
+        proper = [m for m in masks if m != everything]
         chosen = [
-            0 < m < everything and not any(o != m and o & m == m for o in masks)
+            0 < m < everything and not any(o != m and o & m == m for o in proper)
             for m in masks
         ]
+    elif codim == 1:
+        chosen = [m == everything for m in masks]
+    else:
+        return []
     return [
         (iq, tuple(i for i in range(len(rays)) if m >> i & 1))
         for iq, m, keep in zip(h.inequalities, masks, chosen)
@@ -437,12 +415,10 @@ def _cross(a, b):
 def _to_off(v, h):
     if h.d != 3:
         raise MatrixError("OFF export defined for 3-dimensional polytopes only")
-    if _dimension(h, v) != 3:
+    facets = facet_incidence(h, v)
+    if not facets or len(facets[0][1]) == len(v.vertices):
         raise MatrixError("degenerate polytope: vertices do not span 3 dimensions")
-    faces = [
-        _ordered_face(tight, v.vertices, iq.coeffs)
-        for iq, tight in facet_incidence(h, v)
-    ]
+    faces = [_ordered_face(tight, v.vertices, iq.coeffs) for iq, tight in facets]
     edge_total = sum(len(f) for f in faces)
     assert edge_total % 2 == 0, "facet polygons do not close up"
     lines = ["OFF", f"{len(v.vertices)} {len(faces)} {edge_total // 2}"]

@@ -8,7 +8,7 @@ frame matrices alone and diffs against these constants.
 
 from fractions import Fraction
 
-from .exactmat import RMatrix, format_rational
+from .exactmat import MatrixError, RMatrix, format_rational
 from .polytope import build_h_polytope, enumerate_vertices, facet_census
 from .qflag import FlagFrame
 
@@ -179,6 +179,6 @@ def _fmt_census(census):
 def verify(name="example1"):
     """Run all checks for a named dataset; (all_ok, checks)."""
     if name not in DATASETS:
-        raise KeyError(f"unknown verification dataset: {name!r}")
+        raise MatrixError(f"unknown verification dataset: {name!r}")
     checks = run_checks(DATASETS[name])
     return all(c["ok"] for c in checks), checks

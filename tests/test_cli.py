@@ -4,15 +4,16 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import nilmat
 from nilmat import cli
 from nilmat.cli import main
-from nilmat.exactmat import RMatrix
+from nilmat.exactmat import MatrixError, RMatrix
 from nilmat.qflag import FlagFrame, q_zero
-from nilmat import reference
+from nilmat import omega, reference
 
 F = Fraction
 
@@ -177,6 +178,41 @@ def test_omega_enumerate_text_and_json(tmp_path, capsys):
     payload = json.loads(target.read_text())
     assert payload["count"] == 6
     assert payload["partitions"][0] == [[1, 2], [3]]
+
+
+def test_omega_enumerate_text_streams(monkeypatch):
+    yielded = []
+    enumerate_all = omega.iter_ordered_partitions
+
+    def counted(n, k):
+        for p in enumerate_all(n, k):
+            yielded.append(p)
+            yield p
+
+    # each write notes how many partitions had been made by then
+    writes = []
+    stdout = SimpleNamespace(write=lambda text: writes.append((text, len(yielded))))
+    monkeypatch.setattr(omega, "iter_ordered_partitions", counted)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["omega", "enumerate", "--n", "8", "--k", "4"]) == 0
+    assert writes[0] == ("1,2,3,4,5|6|7|8\n", 1)
+    assert len(writes) == len(yielded) == 40824
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, b'{"rows": [', b"\xff\xfe", b"[" * 100000],
+    ids=["missing", "malformed", "not-utf8", "deep-nesting"],
+)
+def test_unreadable_json_is_a_domain_error(content, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = run(capsys, "nilcheck", "--matrix", str(path), "--ambient", "omega")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
 
 
 def test_omega_pattern(capsys):
@@ -410,6 +446,9 @@ def test_verify_dataset(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert len(payload["checks"]) == 6
+
+    with pytest.raises(MatrixError, match="unknown verification dataset: 'example2'"):
+        reference.verify("example2")
 
 
 def test_verify_detects_tampering():

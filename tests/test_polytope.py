@@ -131,8 +131,10 @@ def test_enumeration_guards():
     with pytest.raises(MatrixError):
         enumerate_vertices(HPolytope(7, [ineq(1, *([1] * 7))]))
     many = HPolytope(2, [ineq(i + 2, 1, i + 1) for i in range(41)])
-    with pytest.raises(MatrixError):
-        enumerate_vertices(many)
+    # one size check guards every user of the double description
+    for call in (enumerate_vertices, is_bounded, lambda h: facet_incidence(h, VPolytope(2, []))):
+        with pytest.raises(MatrixError, match="vertex enumeration limited to d <= 6 and 40"):
+            call(many)
 
 
 def test_is_bounded_cases():
@@ -318,9 +320,23 @@ def test_off_export_rejects_flat_input():
             ineq(0, 0, 0, -1),
         ],
     )
-    v = enumerate_vertices(flat)
-    assert len(v.vertices) == 4
-    with pytest.raises(MatrixError):
-        export_polytope(v, flat, "off")
+    # a box with x >= 1 and x <= -1 is bounded but has no vertices
+    empty = HPolytope(
+        3,
+        [
+            ineq(-1, 1, 0, 0),
+            ineq(-1, -1, 0, 0),
+            ineq(1, 0, 1, 0),
+            ineq(1, 0, -1, 0),
+            ineq(1, 0, 0, 1),
+            ineq(1, 0, 0, -1),
+        ],
+    )
+    assert is_bounded(empty)
+    for h, count in ((flat, 4), (empty, 0)):
+        v = enumerate_vertices(h)
+        assert len(v.vertices) == count
+        with pytest.raises(MatrixError, match="degenerate polytope"):
+            export_polytope(v, h, "off")
     with pytest.raises(MatrixError):
         export_polytope(v, flat, "obj")

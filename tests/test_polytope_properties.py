@@ -118,6 +118,18 @@ def test_facet_incidence_on_lower_dimensional_polytopes():
     assert facet_incidence(point, enumerate_vertices(point)) == []
 
 
+def test_facet_incidence_ignores_zero_rows():
+    # 0 >= 0 is tight on every vertex but adds nothing to the rank of the
+    # implicit equalities
+    box = [(1, [1, 0]), (1, [-1, 0]), (1, [0, 1]), (1, [0, -1])]
+    segment = [(0, [1, 0]), (1, [-1, 0]), (0, [0, 1]), (0, [0, -1])]
+    for rows, facets in ((box, 4), (segment, 3)):
+        h = polytope(2, rows + [(0, [0, 0])])
+        v = enumerate_vertices(h)
+        assert facet_incidence(h, v) == rank_facet_incidence(h, v)
+        assert len(facet_incidence(h, v)) == facets
+
+
 def test_facet_incidence_refuses_unbounded_polytopes():
     # positive constants, so x = 0 is interior, but the vertices span only
     # the segment between (-1, 0) and (0, -1): the vertex hull is not the

@@ -6,8 +6,10 @@ errors exit with status 1, usage errors with status 2.
 """
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 
 from . import boolrel, omega, polytope, qflag, reference
@@ -24,12 +26,24 @@ def _load_json(path):
         raise MatrixError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _write_file(path, data):
+def _write_files(exports):
+    """Write every (path, bytes) export, replacing no target until all are
+    written: each goes to a temporary sibling first, created with "x" so
+    that its permissions follow the umask."""
+    staged = []
     try:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        for k, (path, data) in enumerate(exports):
+            temp = f"{path}.{os.getpid()}-{k}.tmp"
+            with open(temp, "xb") as fh:
+                staged.append(temp)
+                fh.write(data)
+        for temp, (path, _) in zip(staged, exports):
+            os.replace(temp, path)
     except OSError as exc:
-        raise MatrixError(f"cannot write {path}: {exc}") from exc
+        for temp in staged:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise MatrixError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _read_matrix(path):
@@ -85,7 +99,7 @@ def _cmd_omega_enumerate(args, out):
         "count": len(partitions),
         "partitions": [[list(b) for b in p.blocks] for p in partitions],
     }
-    _write_file(args.json, _dump(payload).encode())
+    _write_files([(args.json, _dump(payload).encode())])
     out.write(f"wrote {len(partitions)} partitions to {args.json}\n")
     return 0
 
@@ -157,9 +171,8 @@ def _cmd_polytope_build(args, out):
         for path, fmt in ((args.out, "json"), (args.off, "off"))
         if path
     ]
-    for path, data in exports:
-        _write_file(path, data)
-        lines.append(f"wrote {path}\n")
+    _write_files(exports)
+    lines += [f"wrote {path}\n" for path, _ in exports]
     out.write("".join(lines))
     return 0
 

@@ -46,7 +46,11 @@ def parse_rational(text):
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise MatrixError(f"not an exact rational literal: {text!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ValueError as exc:
+        # int() refuses more digits than sys.get_int_max_str_digits()
+        raise MatrixError(f"rational literal too long ({len(s)} characters)") from exc
 
 
 def format_rational(value):

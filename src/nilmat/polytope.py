@@ -30,7 +30,6 @@ from .exactmat import (
     ONE,
     ZERO,
 )
-from .qflag import iso_backward, q_zero
 
 MAX_DIMENSION = 6
 MAX_INEQUALITIES = 40
@@ -131,36 +130,29 @@ def build_h_polytope(frame):
     """Entry-nonnegativity inequalities of the flag subsemigroup's doubly
     stochastic part, in the triangle parameters.
 
-    Each of the n^2 matrix entries is an affine function of the
-    parameters with constant term exactly 1/n (at parameters zero the
-    member is the flat matrix). Coefficients come from evaluating at unit
-    parameter vectors. Entries with no parameter dependence give the
-    vacuous inequality 1/n >= 0 and are dropped; the rest are
-    canonicalized and deduplicated.
+    The member with parameters x is F diag(1, B(x)) F^-1. F's first column
+    is all ones and F^-1's first row is flat 1/n, so entry (r, s) is the
+    affine function 1/n + sum over positions (i, j) of
+    F[r, i+1] F^-1[j+1, s] x_(i,j), read straight off the two matrices.
+    Entries with no parameter dependence give the vacuous inequality
+    1/n >= 0 and are dropped; the rest are canonicalized and deduplicated.
     """
     if not frame.is_complete:
         raise MatrixError("polytope construction needs a complete flag")
     n = frame.n
-    size = n - 1
-    d = size * (size - 1) // 2
-    if d < 1:
+    positions = upper_triangle_positions(n - 1)
+    if not positions:
         raise MatrixError("no triangle parameters below size 4")
-    base = iso_backward(matrix_from_params(size, [ZERO] * d), frame)
-    assert base == q_zero(n)
     inv_n = Fraction(1, n)
-    unit_images = []
-    for t in range(d):
-        x = [ZERO] * d
-        x[t] = ONE
-        unit_images.append(iso_backward(matrix_from_params(size, x), frame))
+    assert frame.f_inv.row(0) == (inv_n,) * n
+    f, f_inv = frame.f.to_rows(), frame.f_inv.to_rows()
     inequalities = []
-    for i in range(n):
-        for j in range(n):
-            coeffs = tuple(m[i, j] - inv_n for m in unit_images)
-            if all(c == 0 for c in coeffs):
-                continue
-            inequalities.append(LinearInequality(inv_n, coeffs))
-    return HPolytope(d, inequalities)
+    for r in range(n):
+        for s in range(n):
+            coeffs = tuple(f[r][i + 1] * f_inv[j + 1][s] for i, j in positions)
+            if any(coeffs):
+                inequalities.append(LinearInequality(inv_n, coeffs))
+    return HPolytope(len(positions), inequalities)
 
 
 def enumerate_vertices(h):
@@ -368,11 +360,10 @@ def _decimal_str(value, digits=20):
 
 
 def _ordered_face(indices, vertices, inward):
-    """Order a facet's vertices into a polygon, oriented outward.
-
-    The ordering is angular around the facet centroid in float precision,
-    which is safe because OFF output is approximate anyway.
-    """
+    """Order a facet's vertices into a polygon by falling angle about its
+    centroid, in floats (OFF output is approximate anyway). The in-plane
+    basis (u, w) has u x w equal to the unit inward normal, so falling
+    angles give the polygon an outward right-hand normal."""
     pts = [tuple(float(x) for x in vertices[i]) for i in indices]
     cx = sum(p[0] for p in pts) / len(pts)
     cy = sum(p[1] for p in pts) / len(pts)
@@ -390,18 +381,7 @@ def _ordered_face(indices, vertices, inward):
     for idx, p in zip(indices, pts):
         dx, dy, dz = p[0] - cx, p[1] - cy, p[2] - cz
         angles.append((math.atan2(dx * wx + dy * wy + dz * wz, dx * ux + dy * uy + dz * uz), idx))
-    ordered = [idx for _, idx in sorted(angles)]
-    # outward normal is the negated inequality gradient
-    a = [float(x) for x in vertices[ordered[0]]]
-    b = [float(x) for x in vertices[ordered[1]]]
-    c = [float(x) for x in vertices[ordered[2]]]
-    poly_normal = _cross(
-        (b[0] - a[0], b[1] - a[1], b[2] - a[2]),
-        (c[0] - b[0], c[1] - b[1], c[2] - b[2]),
-    )
-    if poly_normal[0] * -nx + poly_normal[1] * -ny + poly_normal[2] * -nz < 0:
-        ordered.reverse()
-    return ordered
+    return [idx for _, idx in sorted(angles, reverse=True)]
 
 
 def _cross(a, b):

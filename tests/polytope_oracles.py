@@ -1,13 +1,17 @@
 """Brute-force H-polytope oracles: the exhaustive tight-subset vertex
 search and the certificate-plus-ray-enumeration boundedness test that
 nilmat.polytope used before its double description routine, exponential
-in the number of inequalities and meant for d <= 4; and the per-row rank
+in the number of inequalities and meant for d <= 4; the per-row rank
 test that facet_incidence used before it read facets off the vertex-row
-incidence."""
+incidence; and the unit-image construction that build_h_polytope used
+before it read its rows off the frame matrices."""
 
+from fractions import Fraction
 from itertools import combinations
 
-from nilmat.exactmat import ONE, RMatrix, _dot, mat_vec, null_space, rank, solve_unique
+from nilmat.exactmat import ONE, ZERO, RMatrix, _dot, mat_vec, null_space, rank, solve_unique
+from nilmat.polytope import HPolytope, LinearInequality, matrix_from_params
+from nilmat.qflag import iso_backward, q_zero
 
 
 def brute_force_vertices(h):
@@ -82,3 +86,25 @@ def _affine_rank(points):
         return 0
     base = points[0]
     return rank(RMatrix([[x - b for x, b in zip(p, base)] for p in points[1:]]))
+
+
+def unit_image_polytope(frame):
+    """The flag polytope's rows from d + 1 embedded matrices: the member at
+    parameters zero is the flat matrix, and entry (i, j) of the member at
+    the t-th unit parameter vector, less 1/n, is that entry's coefficient
+    of x_t."""
+    n = frame.n
+    d = (n - 1) * (n - 2) // 2
+    inv_n = Fraction(1, n)
+    assert iso_backward(matrix_from_params(n - 1, [ZERO] * d), frame) == q_zero(n)
+    unit_images = [
+        iso_backward(matrix_from_params(n - 1, [ONE if k == t else ZERO for k in range(d)]), frame)
+        for t in range(d)
+    ]
+    inequalities = []
+    for i in range(n):
+        for j in range(n):
+            coeffs = tuple(m[i, j] - inv_n for m in unit_images)
+            if any(coeffs):
+                inequalities.append(LinearInequality(inv_n, coeffs))
+    return HPolytope(d, inequalities)

@@ -143,6 +143,26 @@ def test_failed_export_keeps_existing_files(tmp_path, monkeypatch, capsys):
         assert (tmp_path / name).read_bytes() == b"keep me\n"
 
 
+@pytest.mark.parametrize("existing", [None, b"keep me\n"], ids=["fresh", "existing"])
+def test_unwritable_second_export_writes_neither(existing, tmp_path, monkeypatch, capsys):
+    # the JSON target is writable and the OFF target is not: all or nothing
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "frame.json", reference.reference_frame().to_json_dict())
+    if existing is not None:
+        (tmp_path / "ok.json").write_bytes(existing)
+    target = os.path.join("missing", "x.off")
+    code, out, err = run(
+        capsys, "polytope", "build", "--frame", "frame.json", "--out", "ok.json", "--off", target
+    )
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert ".tmp" not in err
+    expected = ["frame.json"] if existing is None else ["frame.json", "ok.json"]
+    assert sorted(os.listdir(tmp_path)) == expected
+    if existing is not None:
+        assert (tmp_path / "ok.json").read_bytes() == existing
+
+
 @pytest.mark.parametrize(
     "opt, message",
     [

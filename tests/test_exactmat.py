@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,18 @@ def test_parse_rational_accepts_exact_literals():
     assert parse_rational(" 5/3 ") == F(5, 3)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1e3", "2/0", "2/-3", "", "x", "1/2/3", "0x1"])
+# one digit past the interpreter's int-from-string limit, in either part
+TOO_LONG = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["1.5", "1e3", "2/0", "2/-3", "", "x", "1/2/3", "0x1"]
+    + [
+        pytest.param(TOO_LONG, id="long-numerator"),
+        pytest.param("1/" + TOO_LONG, id="long-denominator"),
+    ],
+)
 def test_parse_rational_rejects_inexact_or_malformed(bad):
     with pytest.raises(MatrixError):
         parse_rational(bad)

@@ -1,8 +1,9 @@
-"""Property tests for vertex enumeration, boundedness and facets: the
-double description routine against the brute-force oracles and the
+"""Property tests for flag polytopes, vertex enumeration, boundedness and
+facets: the rows read off the frame against the unit-image construction,
+the double description routine against the brute-force oracles and the
 incidence facet rule against the per-row rank rule, on small random
-H-polytopes and on random flag polytopes; and the facet structure those
-polytopes must have."""
+H-polytopes and on random flag polytopes; and the facet structure and
+OFF face orientation those polytopes must have."""
 
 from fractions import Fraction
 
@@ -16,14 +17,18 @@ from nilmat.polytope import (
     LinearInequality,
     build_h_polytope,
     enumerate_vertices,
+    export_polytope,
     facet_census,
     facet_incidence,
     is_bounded,
 )
+from nilmat.qflag import FlagFrame
+from nilmat.reference import reference_frame
 from polytope_oracles import (
     brute_force_is_bounded,
     brute_force_vertices,
     rank_facet_incidence,
+    unit_image_polytope,
 )
 
 # derandomized and without an example database, so every run checks the
@@ -82,6 +87,38 @@ def frame_polytopes():
     r = rng(43)
     frames = [rand_frame(r, 4) for _ in range(30)] + [rand_tree_frame(r, 5) for _ in range(10)]
     return [(h, enumerate_vertices(h)) for h in map(build_h_polytope, frames)]
+
+
+def test_rows_read_off_the_frame_match_the_unit_images():
+    r = rng(44)
+    frames = [reference_frame(which=which) for which in ("frame-a", "frame-b")]
+    for n in range(3, 7):
+        frames += [FlagFrame.standard(n), rand_frame(r, n), rand_tree_frame(r, n)]
+    for frame in frames:
+        assert build_h_polytope(frame) == unit_image_polytope(frame)
+
+
+def test_off_faces_turn_outward(frame_polytopes):
+    # the exact Newell normal of each face polygon must point against the
+    # facet row's gradient, which points into the polytope
+    examples = [
+        (h, enumerate_vertices(h))
+        for h in (build_h_polytope(reference_frame(which=w)) for w in ("frame-a", "frame-b"))
+    ]
+    for h, v in examples + [(h, v) for h, v in frame_polytopes if h.d == 3]:
+        lines = export_polytope(v, h, "off").decode().splitlines()
+        faces = lines[2 + len(v.vertices) :]
+        facets = facet_incidence(h, v)
+        assert len(faces) == len(facets)
+        for line, (iq, tight) in zip(faces, facets):
+            order = [int(i) for i in line.split()[1:]]
+            assert sorted(order) == list(tight)
+            pts = [v.vertices[i] for i in order]
+            newell = [
+                sum((p[a] - q[a]) * (p[b] + q[b]) for p, q in zip(pts, pts[1:] + pts[:1]))
+                for a, b in ((1, 2), (2, 0), (0, 1))
+            ]
+            assert sum(x * c for x, c in zip(newell, iq.coeffs)) < 0
 
 
 def test_facet_incidence_agrees_with_rank_oracle_on_frames(frame_polytopes):

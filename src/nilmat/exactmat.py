@@ -54,10 +54,9 @@ def parse_rational(text):
 
 
 def format_rational(value):
-    v = Fraction(value)
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    """Exact text "p" or "p/q" of an int, a Fraction or an exact rational
+    literal; anything else, floats and booleans included, is refused."""
+    return str(_rational(value))
 
 
 def _is_int(x):

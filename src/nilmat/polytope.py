@@ -23,6 +23,7 @@ from .exactmat import (
     _dot,
     _int_vector,
     _is_int,
+    _rational,
     _reduce,
     format_rational,
     parse_rational,
@@ -37,16 +38,10 @@ MAX_INEQUALITIES = 40
 
 @dataclass(frozen=True)
 class LinearInequality:
-    """constant + coeffs . x >= 0 in canonical coprime integer form."""
+    """constant + coeffs . x >= 0."""
 
     constant: Fraction
     coeffs: tuple
-
-    def canonical(self):
-        """Scale by the unique positive rational making all parts coprime
-        integers."""
-        ints = _primitive((self.constant,) + tuple(self.coeffs))
-        return LinearInequality(Fraction(ints[0]), tuple(Fraction(c) for c in ints[1:]))
 
     def evaluate(self, point):
         return _dot(self.coeffs, point, self.constant)
@@ -55,30 +50,35 @@ class LinearInequality:
         return (self.constant,) + tuple(self.coeffs)
 
 
-class HPolytope:
-    """Deduplicated canonical inequality description."""
+def _check_dimension(d):
+    if not _is_int(d) or d < 1:
+        raise MatrixError("polytope dimension must be a positive integer")
 
-    __slots__ = ("d", "inequalities", "_dd")
+
+class HPolytope:
+    """Inequality description in canonical form: `rows` holds each distinct
+    inequality once, scaled by the unique positive rational that makes it a
+    coprime integer tuple (constant, *coeffs), in sorted order.
+    `inequalities` holds the same rows as LinearInequality views."""
+
+    __slots__ = ("d", "rows", "inequalities", "_dd")
 
     def __init__(self, d, inequalities):
-        if d < 1:
-            raise MatrixError("polytope dimension must be positive")
-        canon = {}
+        _check_dimension(d)
+        rows = set()
         for iq in inequalities:
             if len(iq.coeffs) != d:
                 raise MatrixError("inequality arity does not match the dimension")
-            c = iq.canonical()
-            canon[c.key()] = c
+            rows.add(_primitive(iq.key()))
         self.d = d
-        self.inequalities = tuple(canon[k] for k in sorted(canon))
+        self.rows = tuple(sorted(rows))
+        self.inequalities = tuple(
+            LinearInequality(Fraction(row[0]), tuple(map(Fraction, row[1:]))) for row in self.rows
+        )
         self._dd = None  # _double_description's result, filled on first use
 
     def __eq__(self, other):
-        return (
-            isinstance(other, HPolytope)
-            and self.d == other.d
-            and self.inequalities == other.inequalities
-        )
+        return isinstance(other, HPolytope) and self.d == other.d and self.rows == other.rows
 
     def __repr__(self):
         return f"HPolytope(d={self.d}, {len(self.inequalities)} inequalities)"
@@ -90,9 +90,11 @@ class VPolytope:
     __slots__ = ("d", "vertices")
 
     def __init__(self, d, vertices):
-        if d < 1:
-            raise MatrixError("polytope dimension must be positive")
-        vs = sorted(set(tuple(Fraction(x) for x in v) for v in vertices))
+        _check_dimension(d)
+        try:
+            vs = sorted({tuple(Fraction(_rational(x)) for x in v) for v in vertices})
+        except TypeError:
+            raise MatrixError("each polytope vertex must be a sequence of rationals") from None
         if any(len(v) != d for v in vs):
             raise MatrixError("vertex arity does not match the dimension")
         self.d = d
@@ -171,7 +173,7 @@ def _double_description(h):
     """(vertices, unbounded) of h, computed once per HPolytope within the
     size limits."""
     if h._dd is None:
-        if h.d > MAX_DIMENSION or len(h.inequalities) > MAX_INEQUALITIES:
+        if h.d > MAX_DIMENSION or len(h.rows) > MAX_INEQUALITIES:
             raise MatrixError(
                 f"vertex enumeration limited to d <= {MAX_DIMENSION} and "
                 f"{MAX_INEQUALITIES} inequalities"
@@ -185,10 +187,9 @@ def _run_double_description(h):
 
     The double description method (Motzkin et al. 1953; Fukuda and Prodon
     1996) on the homogenised cone {(t, x) : t >= 0, t * constant +
-    coeffs . x >= 0}, in integers: canonical rows are coprime integers
-    and rays are kept as primitive integer vectors. The cone's extreme
-    rays with t > 0 are the vertices x / t, those with t = 0 the extreme
-    recession directions.
+    coeffs . x >= 0}, in integers: the rows are h.rows, and rays are kept
+    as primitive integer vectors. The cone's extreme rays with t > 0 are
+    the vertices x / t, those with t = 0 the extreme recession directions.
 
     The cone starts as the simplicial cone of the first d + 1 independent
     rows and takes the other rows one at a time: rays on a row's positive
@@ -200,9 +201,7 @@ def _run_double_description(h):
     polytope is unbounded.
     """
     d = h.d
-    rows = [(1,) + (0,) * d] + [
-        (int(iq.constant),) + tuple(int(c) for c in iq.coeffs) for iq in h.inequalities
-    ]
+    rows = [(1,) + (0,) * d] + list(h.rows)
     # the pivot columns of the transpose are the first independent rows
     basis = _reduce([list(col) for col in zip(*rows)], len(rows))
     if len(basis) <= d:
@@ -254,7 +253,7 @@ def facet_incidence(h, v):
 
     A row defines a facet when its tight vertices affinely span dimension
     d - 1. Each row's tight vertices form one bitmask, computed in integers
-    from the canonical integer row and the primitive integer vector
+    from the row of h.rows and the primitive integer vector
     (t, t * x) of each vertex x. The rows tight on every vertex are the
     implicit equalities, and the polytope has dimension d minus their rank
     (Schrijver, Theory of Linear and Integer Programming, 8.2); the rank is
@@ -275,10 +274,9 @@ def facet_incidence(h, v):
             f"facets are defined for bounded polytopes with d <= {MAX_DIMENSION} only"
         )
     rays = [_primitive((ONE,) + p) for p in v.vertices]
-    rows = [tuple(map(int, iq.key())) for iq in h.inequalities]
-    masks = [sum(1 << i for i, y in enumerate(rays) if not sum(map(mul, row, y))) for row in rows]
+    masks = [sum(1 << i for i, y in enumerate(rays) if not sum(map(mul, row, y))) for row in h.rows]
     everything = (1 << len(rays)) - 1
-    implicit = [list(row) for row, m in zip(rows, masks) if m == everything]
+    implicit = [list(row) for row, m in zip(h.rows, masks) if m == everything]
     codim = len(_reduce(implicit, h.d + 1))
     if codim == 0:
         proper = [m for m in masks if m != everything]
@@ -313,11 +311,7 @@ def polytope_to_json_dict(v, h):
     return {
         "d": h.d,
         "inequalities": [
-            {
-                "constant": format_rational(iq.constant),
-                "coeffs": [format_rational(c) for c in iq.coeffs],
-            }
-            for iq in h.inequalities
+            {"constant": str(row[0]), "coeffs": [str(c) for c in row[1:]]} for row in h.rows
         ],
         "vertices": [[format_rational(x) for x in p] for p in v.vertices],
     }
@@ -332,8 +326,6 @@ def polytope_from_json_dict(obj):
         raw_vertices = obj["vertices"]
     except (KeyError, TypeError) as exc:
         raise MatrixError(f"polytope JSON missing field: {exc}") from exc
-    if not _is_int(d) or d < 1:
-        raise MatrixError("polytope dimension must be a positive integer")
     if not isinstance(raw_ineqs, list) or not isinstance(raw_vertices, list):
         raise MatrixError("polytope JSON inequalities and vertices must be lists")
     ineqs = []

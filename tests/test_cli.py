@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import rng, rand_frame, rand_tree_frame
 import nilmat
 from nilmat import cli
 from nilmat.cli import main
@@ -411,25 +412,44 @@ GOLDEN_BUILDS = {
         "stdout": "082b448f9e7bf904a83df95ff2e538f9f94b614b72b6f3e33a904024bf0f4fb9",
         "poly.json": "f7cc5d9ad1b84dca338f9bfbb3bef2ccefcfdfdb730404c4aea97465a5dcf098",
     },
+    # one sha256 over the stdout, JSON and OFF bytes of every build, in
+    # seed order: 40 dense n=4 frames and 12 tree n=5 frames
+    "seeded-d3": {"all": "8c3b55ff15ffa4dcac07b8c2894fed99c702367cd6ccac7b13385b8634e386a1"},
+    "seeded-d6": {"all": "53252ec0dfdce82ba7d15b5e7dfcc65d66b28f28e395567ab2bd72b86a0560e5"},
 }
+
+
+def golden_builds(name):
+    """(frame, options) of each `polytope build` run behind a GOLDEN_BUILDS
+    entry, in order."""
+    full = ["--census", "--out", "poly.json", "--off", "poly.off"]
+    if name == "seeded-d3":
+        return [(rand_frame(rng(k), 4), full) for k in range(40)]
+    if name == "seeded-d6":
+        return [(rand_tree_frame(rng(k), 5), ["--out", "poly.json"]) for k in range(12)]
+    if name == "standard-5":
+        return [(FlagFrame.standard(5), ["--out", "poly.json"])]
+    return [(reference.reference_frame(which=name), full)]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_BUILDS))
 def test_polytope_build_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
-    if name == "standard-5":
-        frame, opts = FlagFrame.standard(5), ["--out", "poly.json"]
-    else:
-        frame = reference.reference_frame(which=name)
-        opts = ["--census", "--out", "poly.json", "--off", "poly.off"]
     # relative output names keep the "wrote ..." lines free of tmp paths
     monkeypatch.chdir(tmp_path)
-    write_json(tmp_path / "frame.json", frame.to_json_dict())
-    code, out, _ = run(capsys, "polytope", "build", "--frame", "frame.json", *opts)
-    assert code == 0
-    digests = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
-    for written in ("poly.json", "poly.off"):
-        if written in opts:
-            digests[written] = hashlib.sha256((tmp_path / written).read_bytes()).hexdigest()
+    digests, every = {}, hashlib.sha256()
+    for frame, opts in golden_builds(name):
+        write_json(tmp_path / "frame.json", frame.to_json_dict())
+        code, out, _ = run(capsys, "polytope", "build", "--frame", "frame.json", *opts)
+        assert code == 0
+        outputs = {"stdout": out.encode()}
+        for written in ("poly.json", "poly.off"):
+            if written in opts:
+                outputs[written] = (tmp_path / written).read_bytes()
+        for key, data in outputs.items():
+            digests[key] = hashlib.sha256(data).hexdigest()
+            every.update(data)
+    if "all" in GOLDEN_BUILDS[name]:
+        digests = {"all": every.hexdigest()}
     assert digests == GOLDEN_BUILDS[name]
 
 

@@ -53,6 +53,9 @@ def test_format_rational():
     assert format_rational(F(6, 4)) == "3/2"
     assert format_rational(F(-8, 2)) == "-4"
     assert format_rational(0) == "0"
+    for inexact in (0.1, True, "1.5"):
+        with pytest.raises(MatrixError):
+            format_rational(inexact)
 
 
 def test_constructor_rejects_floats_and_ragged():

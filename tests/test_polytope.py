@@ -48,17 +48,35 @@ def cube(d):
 
 
 def test_canonicalization_scales_to_coprime_integers():
-    a = LinearInequality(F(1, 4), (F(1, 4), F(-3, 4), F(0))).canonical()
-    assert a.key() == (1, 1, -3, 0)
-    b = LinearInequality(F(2, 8), (F(2, 8), F(-6, 8), F(0))).canonical()
+    (a,) = HPolytope(3, [LinearInequality(F(1, 4), (F(1, 4), F(-3, 4), F(0)))]).rows
+    assert a == (1, 1, -3, 0)
+    (b,) = HPolytope(3, [LinearInequality(F(2, 8), (F(2, 8), F(-6, 8), F(0)))]).rows
     assert a == b
-    c = LinearInequality(F(1, 4), (F(1, 2), F(0), F(0))).canonical()
-    assert c.key() == (1, 2, 0, 0)
+    (c,) = HPolytope(3, [LinearInequality(F(1, 4), (F(1, 2), F(0), F(0)))]).rows
+    assert c == (1, 2, 0, 0)
 
 
 def test_hpolytope_deduplicates():
     h = HPolytope(2, [ineq(1, 2, 0), ineq(F(1, 2), 1, 0), ineq(1, 0, 1)])
     assert len(h.inequalities) == 2
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: HPolytope(1.5, []),
+        lambda: HPolytope(True, [ineq(1, 1)]),
+        lambda: VPolytope(1, [(0.5,)]),
+        lambda: VPolytope(1, [(True,)]),
+        lambda: VPolytope(1, [("1.5",)]),
+        lambda: VPolytope(1, [(" 1e3 ",)]),
+        lambda: VPolytope(1, [5]),
+    ],
+    ids=["float-d", "bool-d", "float-coord", "bool-coord", "decimal", "exponent", "bare-int"],
+)
+def test_constructors_refuse_malformed_input(build):
+    with pytest.raises(MatrixError):
+        build()
 
 
 def test_parameter_positions_are_row_major():

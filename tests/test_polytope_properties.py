@@ -5,6 +5,7 @@ incidence facet rule against the per-row rank rule, on small random
 H-polytopes and on random flag polytopes; and the facet structure and
 OFF face orientation those polytopes must have."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -37,9 +38,10 @@ PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=
 
 
 @st.composite
-def h_polytopes(draw):
-    """Random rows, some cut to a box, some pinned to a hyperplane: the
-    mix holds empty, unbounded, lower-dimensional and full polytopes."""
+def row_systems(draw):
+    """(d, rows) of random rows, some cut to a box, some pinned to a
+    hyperplane: the mix holds empty, unbounded, lower-dimensional and full
+    polytopes."""
     d = draw(st.integers(1, 4))
     rows = [
         (draw(st.integers(-2, 3)), [draw(st.integers(-3, 3)) for _ in range(d)])
@@ -53,7 +55,11 @@ def h_polytopes(draw):
     if rows and draw(st.booleans()):
         constant, coeffs = rows[draw(st.integers(0, len(rows) - 1))]
         rows.append((-constant, [-c for c in coeffs]))
-    return polytope(d, rows)
+    return d, rows
+
+
+def h_polytopes():
+    return row_systems().map(lambda system: polytope(*system))
 
 
 def polytope(d, rows):
@@ -61,6 +67,28 @@ def polytope(d, rows):
         d,
         [LinearInequality(Fraction(c), tuple(Fraction(x) for x in a)) for c, a in rows],
     )
+
+
+@PROPERTY
+@given(row_systems(), st.data())
+def test_rows_are_the_canonical_form(system, data):
+    d, rows = system
+    h = polytope(d, rows)
+    # coprime, except that an all-zero row stays zero
+    assert all(math.gcd(*row) == 1 for row in h.rows if any(row))
+    assert all(a < b for a, b in zip(h.rows, h.rows[1:]))
+    assert [iq.key() for iq in h.inequalities] == list(h.rows)
+    # positive rescaling, duplication and reordering of the input rows
+    # describe the same polytope
+    scales = st.fractions(min_value=Fraction(1, 6), max_value=6)
+    scaled = []
+    for constant, coeffs in rows:
+        s = data.draw(scales)
+        scaled.append((constant * s, [a * s for a in coeffs]))
+    if scaled:
+        scaled += data.draw(st.lists(st.sampled_from(scaled), max_size=3))
+    again = polytope(d, data.draw(st.permutations(scaled)))
+    assert again == h and again.inequalities == h.inequalities
 
 
 @PROPERTY

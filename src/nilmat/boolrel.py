@@ -122,16 +122,9 @@ def support_pattern(a):
     """
     if not a.is_square:
         raise MatrixError("support pattern needs a square matrix")
-    rows = []
-    for i in range(a.rows):
-        mask = 0
-        for j, x in enumerate(a.row(i)):
-            if x < 0:
-                raise MatrixError(f"negative entry at ({i + 1}, {j + 1}); support map undefined")
-            if x != 0:
-                mask |= 1 << j
-        rows.append(mask)
-    return BoolMatrix(a.rows, rows)
+    if a.min_entry() < 0:
+        raise MatrixError("negative entry; support map undefined")
+    return BoolMatrix.from_pairs(a.rows, a.nonzero_positions())
 
 
 def _set_bits(mask):
@@ -241,26 +234,15 @@ def is_maximal_nilpotent_pattern(pattern, kind="bn"):
     maximality is relative to that class, so adjoining any outside
     element must either create a cycle or force a class above k.
 
-    Boolean products are monotone in each factor, and the single-bit
-    matrices along a witnessing walk lie in T, so both the cycle test and
-    the class of an extension are decided on the two generators {P, x}.
-    Breaking is upward-closed in the adjoined element x (each product
-    word over {P, y} contains the same word over {P, x} when x is inside
-    y), every x outside P contains a single-bit matrix E_ij outside it,
-    and every E_ij is a rook matrix, so both ambients get the verdict of
-    the single-bit extensions. Let L_in(i) be the longest path in P
-    ending at i and L_out(j) the longest starting at j. When P plus the
-    edge (i, j) is acyclic, a walk in it uses (i, j) at most once, the
-    longest through it has L_in(i) + 1 + L_out(j) edges, and any k
-    consecutive edges of one spell a nonempty product of k generators;
-    so E_ij breaks the pattern exactly when that sum is at least k.
-    Otherwise i = j or j reaches i, E_ij makes a cycle and always breaks,
-    yet the verdict needs no test for it: a sum below k then gives
-    L_in(i) + L_out(i) <= k - 2, so on a longest path v_0 ... v_(k-1) of
-    P the vertex v_t with t = L_in(i) + 1 is no successor of i (else
-    L_out(i) >= k - t), cannot reach i, and E_(i, v_t) keeps the class.
-    Hence P is maximal exactly when L_in(i) + 1 + L_out(j) >= k for
-    every bit (i, j) outside P; one topological pass gives both lengths.
+    Put each vertex x in layer L(x), the length of the longest path in P
+    ending at x; there are k layers. Every edge of P climbs at least one
+    layer, so P lies inside its layer pattern, which has bit (i, j) set
+    when L(i) < L(j): the pattern of an ordered k-partition, of the same
+    class k. The maximal class-k patterns are exactly the patterns of the
+    ordered k-partitions (the paper), so P is maximal exactly when it
+    equals its layer pattern. Boolean products are monotone, so an outside
+    element breaks P exactly when some outside single-bit E_ij inside it
+    does; every E_ij is a rook matrix, so "rook" gets the verdict of "bn".
     Limited to n <= 10, the bound of the partition enumeration.
     """
     if kind not in ("bn", "rook"):
@@ -272,18 +254,14 @@ def is_maximal_nilpotent_pattern(pattern, kind="bn"):
     if k is None:
         raise MatrixError("pattern is not nilpotent: its digraph has a cycle")
     rows = pattern.rows
-    order = _topological_order(pattern)
-    longest_in = [0] * n
-    for v in order:
+    layer = [0] * n
+    for v in _topological_order(pattern):
         for j in _set_bits(rows[v]):
-            longest_in[j] = max(longest_in[j], longest_in[v] + 1)
-    longest_out = [0] * n
-    for v in reversed(order):
-        for j in _set_bits(rows[v]):
-            longest_out[v] = max(longest_out[v], longest_out[j] + 1)
-    return all(
-        longest_in[i] + 1 + longest_out[j] >= k
-        for i in range(n)
-        for j in range(n)
-        if not pattern.has_bit(i, j)
-    )
+            layer[j] = max(layer[j], layer[v] + 1)
+    # from_layer[t]: the vertices in layers t and above
+    from_layer = [0] * (k + 1)
+    for v, t in enumerate(layer):
+        from_layer[t] |= 1 << v
+    for t in reversed(range(k)):
+        from_layer[t] |= from_layer[t + 1]
+    return all(rows[i] == from_layer[layer[i] + 1] for i in range(n))

@@ -8,7 +8,7 @@ test against the pattern.
 
 import math
 
-from .boolrel import _MAXIMALITY_MAX_N, BoolMatrix, is_rook, nilpotency_index
+from .boolrel import _MAXIMALITY_MAX_N, BoolMatrix, is_rook, nilpotency_index, support_pattern
 from .exactmat import RMatrix, MatrixError, ONE, ZERO, int_tuple
 
 KINDS = ("omega", "m0", "m0plus")
@@ -204,18 +204,14 @@ def nilpotency_class(a):
     """Least k with a^k equal to the zero matrix, or None.
 
     The ambient here is the nonnegative matrices, whose zero element is
-    the zero matrix; any nilpotent member dies by the n-th power.
+    the zero matrix. Their support map is multiplicative, so a^k vanishes
+    exactly when the k-th Boolean power of the support pattern is empty.
     """
     if not a.is_square:
         raise MatrixError("nilpotency class defined for square matrices")
     if a.min_entry() < 0:
         raise MatrixError("nilpotency class here is relative to the nonnegative ambient")
-    p = a
-    for k in range(1, a.rows + 1):
-        if p.is_zero():
-            return k
-        p = p * a
-    return None
+    return nilpotency_index(support_pattern(a))
 
 
 def pattern_class(pattern):
@@ -254,11 +250,10 @@ def nilpotent_nonzero_count(a):
         raise MatrixError("nonzero count defined for square matrices")
     if a.min_entry() < 0:
         raise MatrixError("matrix must be nonnegative")
-    n = a.rows
-    if not (a ** n).is_zero():
+    if nilpotency_class(a) is None:
         raise MatrixError("matrix is not nilpotent")
     count = a.count_nonzero()
-    assert count <= n * (n - 1) // 2
+    assert count <= a.rows * (a.rows - 1) // 2
     return count
 
 
@@ -270,5 +265,5 @@ def is_unit(a):
         raise MatrixError("unit test defined for square matrices")
     if a.min_entry() < 0:
         raise MatrixError("unit test defined on nonnegative matrices")
-    support = BoolMatrix.from_pairs(a.rows, a.nonzero_positions())
+    support = support_pattern(a)
     return is_rook(support) and support.bit_count() == a.rows

@@ -65,8 +65,14 @@ class HPolytope:
 
     def __init__(self, d, inequalities):
         _check_dimension(d)
+        try:
+            inequalities = list(inequalities)
+        except TypeError:
+            raise MatrixError("polytope inequalities must be a sequence") from None
         rows = set()
         for iq in inequalities:
+            if not isinstance(iq, LinearInequality):
+                raise MatrixError(f"not a LinearInequality: {iq!r}")
             if len(iq.coeffs) != d:
                 raise MatrixError("inequality arity does not match the dimension")
             rows.add(_primitive(iq.key()))
@@ -84,6 +90,13 @@ class HPolytope:
         return f"HPolytope(d={self.d}, {len(self.inequalities)} inequalities)"
 
 
+def _vertex(v):
+    # a string or a dict would iterate as characters or keys
+    if not isinstance(v, (tuple, list)):
+        raise MatrixError("each polytope vertex must be a tuple or list")
+    return tuple(Fraction(_rational(x)) for x in v)
+
+
 class VPolytope:
     """Vertex description, lexicographically sorted."""
 
@@ -92,7 +105,7 @@ class VPolytope:
     def __init__(self, d, vertices):
         _check_dimension(d)
         try:
-            vs = sorted({tuple(Fraction(_rational(x)) for x in v) for v in vertices})
+            vs = sorted({_vertex(v) for v in vertices})
         except TypeError:
             raise MatrixError("each polytope vertex must be a sequence of rationals") from None
         if any(len(v) != d for v in vs):

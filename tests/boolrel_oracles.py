@@ -1,11 +1,12 @@
-"""Maximality oracles that nilmat.boolrel used before it read the answer
-from path lengths.
+"""Maximality oracles that nilmat.boolrel used before it compared a
+pattern with its longest-path layering.
 
 `extension_breaks` decides one extension by saturating the semigroup
 generated by {pattern, x} and measuring its class; `full_scan_is_maximal`
 applies it to every ambient element outside the pattern (2^(n*n)
 candidates for "bn", so meant for n <= 4), and
-`single_bit_is_maximal` only to the single-bit extensions E_ij."""
+`single_bit_is_maximal` only to the single-bit extensions E_ij.
+`path_length_is_maximal` reads the answer from path lengths, for any n."""
 
 from nilmat.boolrel import BoolMatrix, is_acyclic, nilpotency_index
 
@@ -113,3 +114,42 @@ def full_scan_is_maximal(pattern, kind):
     k = nilpotency_index(pattern)
     universe = all_bool_matrices(pattern.n) if kind == "bn" else rook_matrices(pattern.n)
     return all(extension_breaks(pattern, x, k) for x in universe if not x.is_subset(pattern))
+
+
+def path_length_is_maximal(pattern):
+    """Maximality of an acyclic pattern P of class k by path lengths, in
+    either ambient.
+
+    Breaking is upward-closed in the adjoined element x (each product
+    word over {P, y} contains the same word over {P, x} when x is inside
+    y), every x outside P contains a single-bit matrix E_ij outside it,
+    and every E_ij is a rook matrix, so both ambients get the verdict of
+    the single-bit extensions. Let L_in(i) be the longest path in P
+    ending at i and L_out(j) the longest starting at j. When P plus the
+    edge (i, j) is acyclic, a walk in it uses (i, j) at most once, the
+    longest through it has L_in(i) + 1 + L_out(j) edges, and any k
+    consecutive edges of one spell a nonempty product of k generators;
+    so E_ij breaks the pattern exactly when that sum is at least k.
+    Otherwise i = j or j reaches i, E_ij makes a cycle and always breaks,
+    yet the verdict needs no test for it: a sum below k then gives
+    L_in(i) + L_out(i) <= k - 2, so on a longest path v_0 ... v_(k-1) of
+    P the vertex v_t with t = L_in(i) + 1 is no successor of i (else
+    L_out(i) >= k - t), cannot reach i, and E_(i, v_t) keeps the class.
+    Hence P is maximal exactly when L_in(i) + 1 + L_out(j) >= k for
+    every bit (i, j) outside P. The lengths come from n rounds of
+    relaxation over the edges, and k is the longest path plus one.
+    """
+    n = pattern.n
+    edges = pattern.bits()
+    longest_in, longest_out = [0] * n, [0] * n
+    for _ in range(n):
+        for i, j in edges:
+            longest_in[j] = max(longest_in[j], longest_in[i] + 1)
+            longest_out[i] = max(longest_out[i], longest_out[j] + 1)
+    k = max(longest_in) + 1
+    return all(
+        longest_in[i] + 1 + longest_out[j] >= k
+        for i in range(n)
+        for j in range(n)
+        if not pattern.has_bit(i, j)
+    )

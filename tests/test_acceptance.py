@@ -166,6 +166,7 @@ def test_criterion_08_support_map_preserves_class():
                     break
                 p = p * a
             assert nilpotency_index(support_pattern(a)) == exact
+            assert omega.nilpotency_class(a) == exact
 
 
 def test_criterion_09_iso_round_trip_and_multiplicativity():

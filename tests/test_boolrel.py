@@ -3,7 +3,13 @@ from itertools import permutations
 
 import pytest
 
-from boolrel_oracles import all_bool_matrices, full_scan_is_maximal, rook_matrices, single_bit_is_maximal
+from boolrel_oracles import (
+    all_bool_matrices,
+    full_scan_is_maximal,
+    path_length_is_maximal,
+    rook_matrices,
+    single_bit_is_maximal,
+)
 from conftest import rng, rand_nonneg_matrix
 from nilmat.boolrel import (
     BoolMatrix,
@@ -248,6 +254,29 @@ def test_maximality_agrees_with_the_single_bit_oracle_at_n5():
     verdicts = [is_maximal_nilpotent_pattern(p, "bn") for p in sample]
     assert verdicts == [single_bit_is_maximal(p) for p in sample]
     assert 0 < sum(verdicts) < len(sample)
+
+
+def random_acyclic_pattern(r, n):
+    """A random relabelling of a random subset, of random density, of the
+    strict upper triangle."""
+    label = list(range(n))
+    r.shuffle(label)
+    density = r.random()
+    return BoolMatrix.from_pairs(
+        n, [(label[i], label[j]) for i in range(n) for j in range(i + 1, n) if r.random() < density]
+    )
+
+
+def test_maximality_agrees_with_the_path_length_rule():
+    r = rng(16)
+    verdicts = []
+    for _ in range(5000):
+        pattern = random_acyclic_pattern(r, r.randint(1, 10))
+        expected = path_length_is_maximal(pattern)
+        for kind in ("bn", "rook"):
+            assert is_maximal_nilpotent_pattern(pattern, kind) == expected, (pattern, kind)
+        verdicts.append(expected)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_maximality_oracle_rejects_bad_inputs():

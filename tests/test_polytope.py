@@ -71,8 +71,26 @@ def test_hpolytope_deduplicates():
         lambda: VPolytope(1, [("1.5",)]),
         lambda: VPolytope(1, [(" 1e3 ",)]),
         lambda: VPolytope(1, [5]),
+        lambda: HPolytope(1, [(1, 1)]),
+        lambda: HPolytope(1, [5]),
+        lambda: HPolytope(1, 5),
+        lambda: VPolytope(2, ["12"]),
+        lambda: VPolytope(2, [{"1": 0, "2": 0}]),
     ],
-    ids=["float-d", "bool-d", "float-coord", "bool-coord", "decimal", "exponent", "bare-int"],
+    ids=[
+        "float-d",
+        "bool-d",
+        "float-coord",
+        "bool-coord",
+        "decimal",
+        "exponent",
+        "bare-int",
+        "tuple-row",
+        "int-row",
+        "bare-int-rows",
+        "string-vertex",
+        "dict-vertex",
+    ],
 )
 def test_constructors_refuse_malformed_input(build):
     with pytest.raises(MatrixError):

@@ -6,7 +6,7 @@ whenever bit (i, j) is set. Rows are stored as integer bitmasks, which
 makes composition a handful of bitwise ORs.
 """
 
-from .exactmat import MatrixError, _is_int
+from .exactmat import MatrixError, _is_int, int_tuple
 
 _CLOSURE_MAX_N = 5
 _MAXIMALITY_MAX_N = 10  # also the bound of omega.iter_ordered_partitions
@@ -18,9 +18,9 @@ class BoolMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, n, rows):
-        rows = tuple(rows)
-        if n < 1:
-            raise MatrixError("BoolMatrix size must be positive")
+        if not _is_int(n) or n < 1:
+            raise MatrixError("BoolMatrix size must be a positive integer")
+        rows = int_tuple(rows)
         if len(rows) != n or any(not 0 <= r < (1 << n) for r in rows):
             raise MatrixError("row masks do not match the declared size")
         self.n = n
@@ -78,7 +78,10 @@ class BoolMatrix:
                 acc |= other.rows[j]
                 m &= m - 1
             out.append(acc)
-        return BoolMatrix(self.n, out)
+        # valid by construction: each row is an OR of the other's rows
+        product = object.__new__(BoolMatrix)
+        product.n, product.rows = self.n, tuple(out)
+        return product
 
     def __eq__(self, other):
         return isinstance(other, BoolMatrix) and self.n == other.n and self.rows == other.rows

@@ -160,7 +160,7 @@ def _cmd_polytope_build(args, out):
         f"bounded = {'true' if polytope.is_bounded(h) else 'false'}\n",
     ]
     if args.census:
-        census = polytope.facet_census(h, v)
+        census = polytope.facet_census(h)
         body = ", ".join(f"{size}: {count}" for size, count in sorted(census.items()))
         lines.append(f"facet census = {{{body}}}\n")
     # serialise every export before opening any file, so a failed export

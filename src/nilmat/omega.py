@@ -246,10 +246,6 @@ def nilpotent_nonzero_count(a):
     The count never exceeds n(n-1)/2 because the support of a nilpotent
     nonnegative matrix fits inside a strict triangle after relabelling.
     """
-    if not a.is_square:
-        raise MatrixError("nonzero count defined for square matrices")
-    if a.min_entry() < 0:
-        raise MatrixError("matrix must be nonnegative")
     if nilpotency_class(a) is None:
         raise MatrixError("matrix is not nilpotent")
     count = a.count_nonzero()
@@ -261,9 +257,5 @@ def is_unit(a):
     """Is the matrix invertible inside the nonnegative ambient, i.e. a
     monomial matrix with positive entries? Equivalent to having an
     inverse that is again nonnegative."""
-    if not a.is_square:
-        raise MatrixError("unit test defined for square matrices")
-    if a.min_entry() < 0:
-        raise MatrixError("unit test defined on nonnegative matrices")
     support = support_pattern(a)
     return is_rook(support) and support.bit_count() == a.rows

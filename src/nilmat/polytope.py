@@ -15,7 +15,6 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from operator import mul
 
 from .exactmat import (
     RMatrix,
@@ -28,7 +27,6 @@ from .exactmat import (
     format_rational,
     parse_rational,
     solve_unique,
-    ONE,
     ZERO,
 )
 
@@ -172,7 +170,9 @@ def build_h_polytope(frame):
 
 def enumerate_vertices(h):
     """All vertices, exactly, by the double description method."""
-    return VPolytope(h.d, _double_description(h)[0])
+    v = object.__new__(VPolytope)  # the pass's vertices are sorted, distinct Fractions
+    v.d, v.vertices = h.d, tuple(p for p, _ in _double_description(h)[0])
+    return v
 
 
 def is_bounded(h):
@@ -196,7 +196,9 @@ def _double_description(h):
 
 
 def _run_double_description(h):
-    """(vertices, unbounded) of {x : constant + coeffs . x >= 0}.
+    """(vertices, unbounded) of {x : constant + coeffs . x >= 0}, with
+    vertices the sorted (x, mask) pairs: bit i of mask is set when row i of
+    h.rows is tight on the vertex x.
 
     The double description method (Motzkin et al. 1953; Fukuda and Prodon
     1996) on the homogenised cone {(t, x) : t >= 0, t * constant +
@@ -248,7 +250,8 @@ def _run_double_description(h):
                 g = math.gcd(*w)
                 kept.append((tuple(x // g for x in w), common | bit))
         rays = kept
-    vertices = [tuple(Fraction(x, y[0]) for x in y[1:]) for y, _ in rays if y[0]]
+    # distinct extreme rays give distinct vertices, so no two masks are compared
+    vertices = sorted((tuple(Fraction(x, y[0]) for x in y[1:]), t >> 1) for y, t in rays if y[0])
     return vertices, any(y[0] == 0 for y, _ in rays)
 
 
@@ -260,18 +263,18 @@ def _primitive(values):
     return tuple(x // g for x in ints)
 
 
-def facet_incidence(h, v):
-    """Facet-defining inequalities with their tight vertex index lists, for
-    a bounded polytope h with vertex set v.
+def facet_incidence(h):
+    """Facet-defining inequalities of a bounded polytope h, each with the
+    indices of its tight vertices in enumerate_vertices(h).
 
     A row defines a facet when its tight vertices affinely span dimension
-    d - 1. Each row's tight vertices form one bitmask, computed in integers
-    from the row of h.rows and the primitive integer vector
-    (t, t * x) of each vertex x. The rows tight on every vertex are the
-    implicit equalities, and the polytope has dimension d minus their rank
-    (Schrijver, Theory of Linear and Integer Programming, 8.2); the rank is
-    taken with the constants, so an empty polytope, where every row counts
-    as implicit, comes out below d - 1. The masks then decide the rule:
+    d - 1. Each row's tight vertices form one bitmask, the transpose of the
+    tight-row masks the double description leaves on its vertices. The
+    rows tight on every vertex are the implicit equalities, and the
+    polytope has dimension d minus their rank (Schrijver, Theory of Linear
+    and Integer Programming, 8.2); the rank is taken with the constants, so
+    an empty polytope, where every row counts as implicit, comes out below
+    d - 1. The masks then decide the rule:
 
     * Full dimension (zero rows at most are implicit): each row's tight set
       is a face, and every facet is one of them, because an inequality
@@ -286,9 +289,9 @@ def facet_incidence(h, v):
         raise MatrixError(
             f"facets are defined for bounded polytopes with d <= {MAX_DIMENSION} only"
         )
-    rays = [_primitive((ONE,) + p) for p in v.vertices]
-    masks = [sum(1 << i for i, y in enumerate(rays) if not sum(map(mul, row, y))) for row in h.rows]
-    everything = (1 << len(rays)) - 1
+    tight = [t for _, t in _double_description(h)[0]]
+    masks = [sum(1 << i for i, t in enumerate(tight) if t >> r & 1) for r in range(len(h.rows))]
+    everything = (1 << len(tight)) - 1
     implicit = [list(row) for row, m in zip(h.rows, masks) if m == everything]
     codim = len(_reduce(implicit, h.d + 1))
     if codim == 0:
@@ -302,17 +305,17 @@ def facet_incidence(h, v):
     else:
         return []
     return [
-        (iq, tuple(i for i in range(len(rays)) if m >> i & 1))
+        (iq, tuple(i for i in range(len(tight)) if m >> i & 1))
         for iq, m, keep in zip(h.inequalities, masks, chosen)
         if keep
     ]
 
 
-def facet_census(h, v):
+def facet_census(h):
     """Multiset of per-facet vertex counts, for 3-dimensional polytopes."""
     if h.d != 3:
         raise MatrixError("facet census defined for 3-dimensional polytopes only")
-    return Counter(len(tight) for _, tight in facet_incidence(h, v))
+    return Counter(len(tight) for _, tight in facet_incidence(h))
 
 
 # -- serialization ------------------------------------------------------------
@@ -400,7 +403,9 @@ def _cross(a, b):
 def _to_off(v, h):
     if h.d != 3:
         raise MatrixError("OFF export defined for 3-dimensional polytopes only")
-    facets = facet_incidence(h, v)
+    if v != enumerate_vertices(h):
+        raise MatrixError("OFF export needs the vertices of h, in enumerate_vertices order")
+    facets = facet_incidence(h)
     if not facets or len(facets[0][1]) == len(v.vertices):
         raise MatrixError("degenerate polytope: vertices do not span 3 dimensions")
     faces = [_ordered_face(tight, v.vertices, iq.coeffs) for iq, tight in facets]

@@ -125,7 +125,7 @@ def run_checks(dataset):
     for which, entry in sorted(dataset.items()):
         h = build_h_polytope(_frame(entry))
         v = enumerate_vertices(h)
-        census = facet_census(h, v)
+        census = facet_census(h)
 
         actual_ineqs = set(h.rows)
         expected_ineqs = set(entry["inequalities"])

@@ -288,6 +288,15 @@ def test_maximality_oracle_rejects_bad_inputs():
         is_maximal_nilpotent_pattern(STRICT_UPPER_3, "weird")
 
 
+@pytest.mark.parametrize(
+    "n, rows",
+    [("3", [0, 0, 0]), (2, 5), (2, [0, 1.5]), (2, [0, True]), (True, [0])],
+)
+def test_malformed_boolmatrix_is_a_matrix_error(n, rows):
+    with pytest.raises(MatrixError):
+        BoolMatrix(n, rows)
+
+
 def test_json_round_trip():
     p = bits(3, (1, 3), (2, 3))
     d = p.to_json_dict()

@@ -168,7 +168,7 @@ def test_enumeration_guards():
         enumerate_vertices(HPolytope(7, [ineq(1, *([1] * 7))]))
     many = HPolytope(2, [ineq(i + 2, 1, i + 1) for i in range(41)])
     # one size check guards every user of the double description
-    for call in (enumerate_vertices, is_bounded, lambda h: facet_incidence(h, VPolytope(2, []))):
+    for call in (enumerate_vertices, is_bounded, facet_incidence):
         with pytest.raises(MatrixError, match="vertex enumeration limited to d <= 6 and 40"):
             call(many)
 
@@ -218,18 +218,16 @@ def test_random_frame_polytopes_are_bounded():
 def test_facet_census_reference_and_cube():
     for which in ("frame-a", "frame-b"):
         h = build_h_polytope(reference_frame(which=which))
-        v = enumerate_vertices(h)
-        assert dict(facet_census(h, v)) == DATASETS["example1"][which]["census"]
+        assert dict(facet_census(h)) == DATASETS["example1"][which]["census"]
     c = cube(3)
-    assert dict(facet_census(c, enumerate_vertices(c))) == {4: 6}
+    assert dict(facet_census(c)) == {4: 6}
     with pytest.raises(MatrixError):
-        facet_census(simplex(2), enumerate_vertices(simplex(2)))
+        facet_census(simplex(2))
 
 
 def test_facets_have_enough_incident_vertices():
     h = build_h_polytope(reference_frame())
-    v = enumerate_vertices(h)
-    incidence = facet_incidence(h, v)
+    incidence = facet_incidence(h)
     assert len(incidence) == 7
     assert all(len(tight) >= h.d for _, tight in incidence)
 
@@ -334,6 +332,16 @@ def test_off_export_tetrahedron():
         idx = [int(x) for x in face[1:]]
         assert len(idx) == size == 3
         assert all(0 <= i < nv for i in idx)
+
+
+def test_off_export_refuses_other_vertices():
+    # OFF faces index the vertices of h, so a different v would misdraw them
+    h = build_h_polytope(reference_frame(which="frame-b"))
+    v = enumerate_vertices(h)
+    for other in (VPolytope(3, v.vertices[1:]), VPolytope(3, v.vertices[:3] + ((9, 9, 9),))):
+        with pytest.raises(MatrixError, match="OFF export needs the vertices of h"):
+            export_polytope(other, h, "off")
+    assert export_polytope(VPolytope(3, v.vertices), h, "off") == export_polytope(v, h, "off")
 
 
 def test_off_export_has_twenty_significant_digits():

@@ -16,6 +16,7 @@ from nilmat.exactmat import MatrixError
 from nilmat.polytope import (
     HPolytope,
     LinearInequality,
+    VPolytope,
     build_h_polytope,
     enumerate_vertices,
     export_polytope,
@@ -94,7 +95,11 @@ def test_rows_are_the_canonical_form(system, data):
 @PROPERTY
 @given(h_polytopes())
 def test_double_description_agrees_with_brute_force(h):
-    assert set(enumerate_vertices(h).vertices) == brute_force_vertices(h)
+    v = enumerate_vertices(h)
+    assert set(v.vertices) == brute_force_vertices(h)
+    # the pass's own order and types, with VPolytope's validation skipped
+    assert v == VPolytope(h.d, brute_force_vertices(h))
+    assert all(isinstance(x, Fraction) for p in v.vertices for x in p)
     assert is_bounded(h) == brute_force_is_bounded(h)
 
 
@@ -103,10 +108,10 @@ def test_double_description_agrees_with_brute_force(h):
 def test_facet_incidence_agrees_with_rank_oracle(h):
     v = enumerate_vertices(h)
     if is_bounded(h):
-        assert facet_incidence(h, v) == rank_facet_incidence(h, v)
+        assert facet_incidence(h) == rank_facet_incidence(h, v)
     else:
         with pytest.raises(MatrixError):
-            facet_incidence(h, v)
+            facet_incidence(h)
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +141,7 @@ def test_off_faces_turn_outward(frame_polytopes):
     for h, v in examples + [(h, v) for h, v in frame_polytopes if h.d == 3]:
         lines = export_polytope(v, h, "off").decode().splitlines()
         faces = lines[2 + len(v.vertices) :]
-        facets = facet_incidence(h, v)
+        facets = facet_incidence(h)
         assert len(faces) == len(facets)
         for line, (iq, tight) in zip(faces, facets):
             order = [int(i) for i in line.split()[1:]]
@@ -151,19 +156,19 @@ def test_off_faces_turn_outward(frame_polytopes):
 
 def test_facet_incidence_agrees_with_rank_oracle_on_frames(frame_polytopes):
     for h, v in frame_polytopes:
-        assert facet_incidence(h, v) == rank_facet_incidence(h, v)
+        assert facet_incidence(h) == rank_facet_incidence(h, v)
 
 
 def test_facet_rows_alone_give_back_the_vertices(frame_polytopes):
     for h, v in frame_polytopes:
-        facets = HPolytope(h.d, [iq for iq, _ in facet_incidence(h, v)])
+        facets = HPolytope(h.d, [iq for iq, _ in facet_incidence(h)])
         assert enumerate_vertices(facets) == v
 
 
 def test_every_vertex_lies_on_at_least_d_facets(frame_polytopes):
     for h, v in frame_polytopes:
         on = [0] * len(v.vertices)
-        for _, tight in facet_incidence(h, v):
+        for _, tight in facet_incidence(h):
             for i in tight:
                 on[i] += 1
         assert min(on) >= h.d
@@ -176,11 +181,10 @@ def test_facet_incidence_on_lower_dimensional_polytopes():
     point = polytope(2, [(0, [1, 0]), (0, [-1, 0]), (0, [0, 1]), (0, [0, -1])])
     for h in (segment, point):
         v = enumerate_vertices(h)
-        assert facet_incidence(h, v) == rank_facet_incidence(h, v)
-    v = enumerate_vertices(segment)
-    assert [iq.key() for iq, _ in facet_incidence(segment, v)] == [(0, 0, -1), (0, 0, 1)]
-    assert all(tight == (0, 1) for _, tight in facet_incidence(segment, v))
-    assert facet_incidence(point, enumerate_vertices(point)) == []
+        assert facet_incidence(h) == rank_facet_incidence(h, v)
+    assert [iq.key() for iq, _ in facet_incidence(segment)] == [(0, 0, -1), (0, 0, 1)]
+    assert all(tight == (0, 1) for _, tight in facet_incidence(segment))
+    assert facet_incidence(point) == []
 
 
 def test_facet_incidence_ignores_zero_rows():
@@ -191,8 +195,8 @@ def test_facet_incidence_ignores_zero_rows():
     for rows, facets in ((box, 4), (segment, 3)):
         h = polytope(2, rows + [(0, [0, 0])])
         v = enumerate_vertices(h)
-        assert facet_incidence(h, v) == rank_facet_incidence(h, v)
-        assert len(facet_incidence(h, v)) == facets
+        assert facet_incidence(h) == rank_facet_incidence(h, v)
+        assert len(facet_incidence(h)) == facets
 
 
 def test_facet_incidence_refuses_unbounded_polytopes():
@@ -203,9 +207,9 @@ def test_facet_incidence_refuses_unbounded_polytopes():
     v = enumerate_vertices(h)
     assert not is_bounded(h) and len(v.vertices) == 2
     with pytest.raises(MatrixError, match="bounded"):
-        facet_incidence(h, v)
+        facet_incidence(h)
     with pytest.raises(MatrixError, match="bounded"):
-        facet_census(h, v)
+        facet_census(h)
 
 
 def test_euler_relation_on_random_frame_polytopes():
@@ -213,7 +217,7 @@ def test_euler_relation_on_random_frame_polytopes():
     for _ in range(20):
         h = build_h_polytope(rand_frame(r, 4))
         v = enumerate_vertices(h)
-        facets = facet_incidence(h, v)
+        facets = facet_incidence(h)
         on = [set() for _ in v.vertices]
         for f, (_, tight) in enumerate(facets):
             for i in tight:

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import boolrel, omega, polytope, qflag, reference
-from .exactmat import MatrixError, RMatrix, parse_rational
+from .exactmat import MatrixError, RMatrix, format_rational, parse_rational
 
 
 def _load_json(path):
@@ -22,7 +22,9 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise MatrixError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
+    # ValueError covers malformed JSON, bytes that are not UTF-8 and integer
+    # literals longer than int() accepts
+    except (ValueError, RecursionError) as exc:
         raise MatrixError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -82,7 +84,7 @@ def _cmd_nilcheck(args, out):
 
 
 def _cmd_omega_count(args, out):
-    out.write(f"{omega.count_max_nilpotent(args.n, args.k)}\n")
+    out.write(f"{format_rational(omega.count_max_nilpotent(args.n, args.k))}\n")
     return 0
 
 
@@ -155,7 +157,7 @@ def _cmd_polytope_build(args, out):
     v = polytope.enumerate_vertices(h)
     lines = [
         f"d = {h.d}\n",
-        f"inequalities = {len(h.inequalities)}\n",
+        f"inequalities = {len(h.rows)}\n",
         f"vertices = {len(v.vertices)}\n",
         f"bounded = {'true' if polytope.is_bounded(h) else 'false'}\n",
     ]
@@ -313,7 +315,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except (MatrixError, ValueError) as exc:
+    except MatrixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

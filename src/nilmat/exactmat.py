@@ -56,7 +56,12 @@ def parse_rational(text):
 def format_rational(value):
     """Exact text "p" or "p/q" of an int, a Fraction or an exact rational
     literal; anything else, floats and booleans included, is refused."""
-    return str(_rational(value))
+    value = _rational(value)
+    try:
+        return str(value)
+    except ValueError:
+        # str() refuses ints of more than sys.get_int_max_str_digits() digits
+        raise MatrixError("number has too many digits to write out") from None
 
 
 def _is_int(x):

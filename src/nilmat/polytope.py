@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from operator import mul
 
 from .exactmat import (
     RMatrix,
@@ -57,9 +58,10 @@ class HPolytope:
     """Inequality description in canonical form: `rows` holds each distinct
     inequality once, scaled by the unique positive rational that makes it a
     coprime integer tuple (constant, *coeffs), in sorted order.
-    `inequalities` holds the same rows as LinearInequality views."""
+    `inequalities` holds the same rows as LinearInequality views, built on
+    first use."""
 
-    __slots__ = ("d", "rows", "inequalities", "_dd")
+    __slots__ = ("d", "rows", "_inequalities", "_dd")
 
     def __init__(self, d, inequalities):
         _check_dimension(d)
@@ -71,21 +73,37 @@ class HPolytope:
         for iq in inequalities:
             if not isinstance(iq, LinearInequality):
                 raise MatrixError(f"not a LinearInequality: {iq!r}")
-            if len(iq.coeffs) != d:
+            # a string or a dict would iterate as characters or keys
+            if not isinstance(iq.coeffs, (tuple, list)) or len(iq.coeffs) != d:
                 raise MatrixError("inequality arity does not match the dimension")
             rows.add(_primitive(iq.key()))
         self.d = d
         self.rows = tuple(sorted(rows))
-        self.inequalities = tuple(
-            LinearInequality(Fraction(row[0]), tuple(map(Fraction, row[1:]))) for row in self.rows
-        )
+        self._inequalities = None
         self._dd = None  # _double_description's result, filled on first use
+
+    @classmethod
+    def _from_rows(cls, d, rows):
+        """The polytope of rows already in canonical form: coprime integer
+        tuples, distinct and sorted."""
+        h = object.__new__(cls)
+        h.d, h.rows, h._inequalities, h._dd = d, rows, None, None
+        return h
+
+    @property
+    def inequalities(self):
+        if self._inequalities is None:
+            self._inequalities = tuple(
+                LinearInequality(Fraction(row[0]), tuple(map(Fraction, row[1:])))
+                for row in self.rows
+            )
+        return self._inequalities
 
     def __eq__(self, other):
         return isinstance(other, HPolytope) and self.d == other.d and self.rows == other.rows
 
     def __repr__(self):
-        return f"HPolytope(d={self.d}, {len(self.inequalities)} inequalities)"
+        return f"HPolytope(d={self.d}, {len(self.rows)} inequalities)"
 
 
 def _vertex(v):
@@ -147,8 +165,10 @@ def build_h_polytope(frame):
     is all ones and F^-1's first row is flat 1/n, so entry (r, s) is the
     affine function 1/n + sum over positions (i, j) of
     F[r, i+1] F^-1[j+1, s] x_(i,j), read straight off the two matrices.
-    Entries with no parameter dependence give the vacuous inequality
-    1/n >= 0 and are dropped; the rest are canonicalized and deduplicated.
+    With F = N / a and F^-1 = M / b over integers, n a b times that entry
+    is the integer row (a b, n N[r, i+1] M[j+1, s], ...), which only needs
+    its gcd divided out to be canonical. Entries with no parameter
+    dependence give the vacuous inequality 1/n >= 0 and are dropped.
     """
     if not frame.is_complete:
         raise MatrixError("polytope construction needs a complete flag")
@@ -156,16 +176,17 @@ def build_h_polytope(frame):
     positions = upper_triangle_positions(n - 1)
     if not positions:
         raise MatrixError("no triangle parameters below size 4")
-    inv_n = Fraction(1, n)
-    assert frame.f_inv.row(0) == (inv_n,) * n
-    f, f_inv = frame.f.to_rows(), frame.f_inv.to_rows()
-    inequalities = []
-    for r in range(n):
-        for s in range(n):
-            coeffs = tuple(f[r][i + 1] * f_inv[j + 1][s] for i, j in positions)
-            if any(coeffs):
-                inequalities.append(LinearInequality(inv_n, coeffs))
-    return HPolytope(len(positions), inequalities)
+    f, f_inv = frame.f, frame.f_inv
+    ab = f._den * f_inv._den
+    assert all(n * x == f_inv._den for x in f_inv._num[0])
+    rows = set()
+    for fr in f._num:
+        for mc in zip(*f_inv._num):
+            row = [ab] + [n * fr[i + 1] * mc[j + 1] for i, j in positions]
+            if any(row[1:]):
+                g = math.gcd(*row)
+                rows.add(tuple(x // g for x in row))
+    return HPolytope._from_rows(len(positions), tuple(sorted(rows)))
 
 
 def enumerate_vertices(h):
@@ -231,28 +252,34 @@ def _run_double_description(h):
         )
         for j, i in enumerate(basis)
     ]
+    need = d - 1
     for i in sorted(set(range(len(rows))) - set(basis)):
         row, bit = rows[i], 1 << i
-        sides = [(ray, _dot(row, ray[0], 0)) for ray in rays]
+        sides = [(ray, sum(map(mul, row, ray[0]))) for ray in rays]
         kept = [(y, tight | bit if s == 0 else tight) for (y, tight), s in sides if s >= 0]
         plus = [(ray, s) for ray, s in sides if s > 0]
         minus = [(ray, s) for ray, s in sides if s < 0]
-        for p, sp in plus:
-            for n, sn in minus:
-                common = p[1] & n[1]
-                if common.bit_count() < d - 1 or any(
-                    r is not p and r is not n and r[1] & common == common for r in rays
-                ):
+        masks = [tight for _, tight in rays]
+        for (yp, tp), sp in plus:
+            for (yn, tn), sn in minus:
+                common = tp & tn
+                # p and n are tight on common: adjacent when no third ray is
+                if common.bit_count() < need or [m & common for m in masks].count(common) > 2:
                     continue
                 # an integer combination of two independent rays: nonzero,
                 # and only its gcd needs dividing out
-                w = [sp * b - sn * a for a, b in zip(p[0], n[0])]
+                w = [sp * b - sn * a for a, b in zip(yp, yn)]
                 g = math.gcd(*w)
                 kept.append((tuple(x // g for x in w), common | bit))
         rays = kept
-    # distinct extreme rays give distinct vertices, so no two masks are compared
-    vertices = sorted((tuple(Fraction(x, y[0]) for x in y[1:]), t >> 1) for y, t in rays if y[0])
-    return vertices, any(y[0] == 0 for y, _ in rays)
+    # x / t scaled by the lcm of every t > 0 is an integer vector in the
+    # same lexicographic order; distinct extreme rays give distinct vertices
+    points = [(y, tight) for y, tight in rays if y[0]]
+    scale = math.lcm(*(y[0] for y, _ in points))
+    points.sort(key=lambda p: list(map((scale // p[0][0]).__mul__, p[0][1:])))
+    vertices = [(tuple(Fraction(x, y[0]) for x in y[1:]), tight >> 1) for y, tight in points]
+    # the rays with t = 0 are the recession directions
+    return vertices, len(points) < len(rays)
 
 
 def _primitive(values):
@@ -327,7 +354,8 @@ def polytope_to_json_dict(v, h):
     return {
         "d": h.d,
         "inequalities": [
-            {"constant": str(row[0]), "coeffs": [str(c) for c in row[1:]]} for row in h.rows
+            {"constant": format_rational(row[0]), "coeffs": [format_rational(c) for c in row[1:]]}
+            for row in h.rows
         ],
         "vertices": [[format_rational(x) for x in p] for p in v.vertices],
     }
@@ -408,7 +436,10 @@ def _to_off(v, h):
     facets = facet_incidence(h)
     if not facets or len(facets[0][1]) == len(v.vertices):
         raise MatrixError("degenerate polytope: vertices do not span 3 dimensions")
-    faces = [_ordered_face(tight, v.vertices, iq.coeffs) for iq, tight in facets]
+    try:
+        faces = [_ordered_face(tight, v.vertices, iq.coeffs) for iq, tight in facets]
+    except OverflowError:
+        raise MatrixError("OFF faces are ordered in floats, and a coordinate exceeds them") from None
     edge_total = sum(len(f) for f in faces)
     assert edge_total % 2 == 0, "facet polygons do not close up"
     lines = ["OFF", f"{len(v.vertices)} {len(faces)} {edge_total // 2}"]

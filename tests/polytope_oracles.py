@@ -1,10 +1,10 @@
 """Brute-force H-polytope oracles: the exhaustive tight-subset vertex
 search and the certificate-plus-ray-enumeration boundedness test that
 nilmat.polytope used before its double description routine, exponential
-in the number of inequalities and meant for d <= 4; the per-row rank
-test that facet_incidence used before it read facets off the vertex-row
-incidence; and the unit-image construction that build_h_polytope used
-before it read its rows off the frame matrices."""
+in the number of inequalities and meant for d <= 4 or sparse d = 6; the
+per-row rank test that facet_incidence used before it read facets off
+the vertex-row incidence; and the unit-image construction that
+build_h_polytope used before it read its rows off the frame matrices."""
 
 from fractions import Fraction
 from itertools import combinations

@@ -222,8 +222,8 @@ def test_omega_enumerate_text_streams(monkeypatch):
 
 @pytest.mark.parametrize(
     "content",
-    [None, b'{"rows": [', b"\xff\xfe", b"[" * 100000],
-    ids=["missing", "malformed", "not-utf8", "deep-nesting"],
+    [None, b'{"rows": [', b"\xff\xfe", b"[" * 100000, b'{"rows": ' + b"9" * 5000 + b"}"],
+    ids=["missing", "malformed", "not-utf8", "deep-nesting", "long-integer"],
 )
 def test_unreadable_json_is_a_domain_error(content, tmp_path, capsys):
     path = tmp_path / "m.json"
@@ -234,6 +234,21 @@ def test_unreadable_json_is_a_domain_error(content, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and str(path) in err
     assert "Traceback" not in err
+
+
+def test_output_too_long_to_write_is_a_domain_error(tmp_path, capsys):
+    # Python writes no int of more than 4300 digits by default: 2^15000 - 2
+    # has 4516, and the conjugate below has entries of about 6000
+    code, out, err = run(capsys, "omega", "count", "--n", "15000", "--k", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: number has too many digits to write out\n"
+    big = 10**3000 - 1
+    frame = FlagFrame(RMatrix([[1, big, 1], [1, -big, 0], [1, 0, -1]]), (1, 2))
+    f = write_json(tmp_path / "f.json", frame.to_json_dict())
+    m = write_matrix(tmp_path / "m.json", RMatrix([[0, big], [0, 0]]))
+    code, out, err = run(capsys, "q", "iso", "--frame", f, "--matrix", m, "--inverse")
+    assert (code, out) == (1, "")
+    assert err == "error: number has too many digits to write out\n"
 
 
 def test_omega_pattern(capsys):
@@ -416,6 +431,10 @@ GOLDEN_BUILDS = {
     # seed order: 40 dense n=4 frames and 12 tree n=5 frames
     "seeded-d3": {"all": "8c3b55ff15ffa4dcac07b8c2894fed99c702367cd6ccac7b13385b8634e386a1"},
     "seeded-d6": {"all": "53252ec0dfdce82ba7d15b5e7dfcc65d66b28f28e395567ab2bd72b86a0560e5"},
+    # 8 dense n=5 frames with --out (25 rows, 135-524 vertices, denominators
+    # of up to 9 digits), pinned from the double description that sorted
+    # its vertices as Fraction tuples
+    "seeded-d6-dense": {"all": "89909d41cb64a995e9ca101a25ba3eb6c311cb7d91523d9950bf2fc3292b9c83"},
 }
 
 
@@ -427,6 +446,8 @@ def golden_builds(name):
         return [(rand_frame(rng(k), 4), full) for k in range(40)]
     if name == "seeded-d6":
         return [(rand_tree_frame(rng(k), 5), ["--out", "poly.json"]) for k in range(12)]
+    if name == "seeded-d6-dense":
+        return [(rand_frame(rng(k), 5), ["--out", "poly.json"]) for k in range(8)]
     if name == "standard-5":
         return [(FlagFrame.standard(5), ["--out", "poly.json"])]
     return [(reference.reference_frame(which=name), full)]

@@ -74,6 +74,7 @@ def test_hpolytope_deduplicates():
         lambda: HPolytope(1, [(1, 1)]),
         lambda: HPolytope(1, [5]),
         lambda: HPolytope(1, 5),
+        lambda: HPolytope(1, [LinearInequality(F(1), 5)]),
         lambda: VPolytope(2, ["12"]),
         lambda: VPolytope(2, [{"1": 0, "2": 0}]),
     ],
@@ -88,6 +89,7 @@ def test_hpolytope_deduplicates():
         "tuple-row",
         "int-row",
         "bare-int-rows",
+        "int-coeffs",
         "string-vertex",
         "dict-vertex",
     ],
@@ -342,6 +344,17 @@ def test_off_export_refuses_other_vertices():
         with pytest.raises(MatrixError, match="OFF export needs the vertices of h"):
             export_polytope(other, h, "off")
     assert export_polytope(VPolytope(3, v.vertices), h, "off") == export_polytope(v, h, "off")
+
+
+def test_off_export_refuses_coordinates_beyond_floats():
+    # scaling the last frame column by 10^400 scales some parameters by as much
+    f = reference_frame(which="frame-b").f.to_rows()
+    big = FlagFrame(RMatrix([row[:3] + [row[3] * 10**400] for row in f]), (1, 2, 3))
+    h = build_h_polytope(big)
+    v = enumerate_vertices(h)
+    assert max(abs(x) for p in v.vertices for x in p) > 10**399
+    with pytest.raises(MatrixError, match="OFF faces are ordered in floats"):
+        export_polytope(v, h, "off")
 
 
 def test_off_export_has_twenty_significant_digits():

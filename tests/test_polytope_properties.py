@@ -103,6 +103,14 @@ def test_double_description_agrees_with_brute_force(h):
     assert is_bounded(h) == brute_force_is_bounded(h)
 
 
+def test_double_description_agrees_with_brute_force_at_d6():
+    # sparse n=5 flag polytopes (d = 6, 13-16 rows), the size at which the
+    # pass's adjacency count and integer-key sort meet the most rays
+    r = rng(45)
+    for h in (build_h_polytope(rand_tree_frame(r, 5)) for _ in range(3)):
+        assert enumerate_vertices(h) == VPolytope(h.d, brute_force_vertices(h))
+
+
 @PROPERTY
 @given(h_polytopes())
 def test_facet_incidence_agrees_with_rank_oracle(h):

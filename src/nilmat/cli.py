@@ -84,24 +84,46 @@ def _cmd_nilcheck(args, out):
 
 
 def _cmd_omega_count(args, out):
-    out.write(f"{format_rational(omega.count_max_nilpotent(args.n, args.k))}\n")
+    count = omega.count_max_nilpotent(args.n, args.k, sys.get_int_max_str_digits())
+    out.write(f"{format_rational(count)}\n")
     return 0
 
 
+class _Rendered(dict):
+    """Text of each key, made by render(key) on its first lookup."""
+
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
+
+
 def _cmd_omega_enumerate(args, out):
+    # each distinct block (at most 2^n - 1 of them) is rendered once, and
+    # every line or JSON item is joined from the cached texts
     if not args.json:
+        text = _Rendered(lambda block: ",".join(map(str, block))).__getitem__
         # streamed: memory stays flat however many partitions there are
         for p in omega.iter_ordered_partitions(args.n, args.k):
-            out.write(f"{p}\n")
+            out.write("|".join(map(text, p.blocks)) + "\n")
         return 0
     partitions = omega.enumerate_partitions(args.n, args.k)
-    payload = {
-        "n": args.n,
-        "k": args.k,
-        "count": len(partitions),
-        "partitions": [[list(b) for b in p.blocks] for p in partitions],
-    }
-    _write_files([(args.json, _dump(payload).encode())])
+    # the bytes _dump would write for {"n", "k", "count", "partitions"},
+    # joined by hand: with indent set, json.dumps runs its pure-Python encoder
+    item = _Rendered(
+        lambda block: "[\n        " + ",\n        ".join(map(str, block)) + "\n      ]"
+    )
+    body = ",\n    ".join(
+        "[\n      " + ",\n      ".join(map(item.__getitem__, p.blocks)) + "\n    ]"
+        for p in partitions
+    )
+    document = (
+        f'{{\n  "count": {len(partitions)},\n  "k": {args.k},\n  "n": {args.n},\n'
+        f'  "partitions": [\n    {body}\n  ]\n}}\n'
+    )
+    _write_files([(args.json, document.encode())])
     out.write(f"wrote {len(partitions)} partitions to {args.json}\n")
     return 0
 

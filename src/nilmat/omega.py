@@ -163,12 +163,23 @@ def membership(a, pattern, kind="omega"):
     return support.is_subset(pattern)
 
 
-def count_max_nilpotent(n, k):
+def count_max_nilpotent(n, k, max_digits=0):
     """Number of maximal nilpotent subsemigroups of class k, i.e. the
     number of surjections from an n-set onto k ordered blocks, by
-    inclusion-exclusion. k = n gives n!."""
+    inclusion-exclusion. k = n gives n!.
+
+    A positive max_digits refuses, before any big-integer work, an (n, k)
+    whose count surely has more decimal digits than that."""
     if not (1 <= k <= n):
         raise MatrixError(f"need 1 <= k <= n, got k={k}, n={n}")
+    # the count is at least k!·k^(n-k) (the first k elements go onto the
+    # blocks bijectively, the rest anywhere), so at least 2^bits with bits
+    # the sum of floor(log2 i) over i <= k plus (n - k)·floor(log2 k)
+    m = k.bit_length() - 1
+    bits = m * (k + 1) - (1 << (m + 1)) + 2 + (n - k) * m
+    # 2^bits >= 10^max_digits, as log2(10) < 3.322
+    if max_digits and bits * 1000 >= max_digits * 3322:
+        raise MatrixError("number has too many digits to write out")
     return sum((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k))
 
 
@@ -183,17 +194,23 @@ def iter_ordered_partitions(n, k):
     if n > _MAXIMALITY_MAX_N:
         raise MatrixError(f"partition enumeration limited to n <= {_MAXIMALITY_MAX_N}")
 
-    def rec(e, blocks, empty):
-        # place element e; `empty` of the k blocks are still empty
-        if e > n:
-            yield OrderedPartition._trusted(blocks)
-            return
-        for b in range(k):
+    # depth-first over (next element, blocks, how many are still empty),
+    # children pushed in reverse so that they pop in order; the last
+    # element is placed inline
+    todo = [(1, ((),) * k, k)]
+    while todo:
+        e, blocks, empty = todo.pop()
+        if e == n:
+            for b in range(k):
+                if empty - (not blocks[b]) <= 0:
+                    yield OrderedPartition._trusted(
+                        blocks[:b] + (blocks[b] + (e,),) + blocks[b + 1 :]
+                    )
+            continue
+        for b in range(k - 1, -1, -1):
             left = empty - (not blocks[b])
             if left <= n - e:
-                yield from rec(e + 1, blocks[:b] + (blocks[b] + (e,),) + blocks[b + 1 :], left)
-
-    yield from rec(1, ((),) * k, k)
+                todo.append((e + 1, blocks[:b] + (blocks[b] + (e,),) + blocks[b + 1 :], left))
 
 
 def enumerate_partitions(n, k):

@@ -1,10 +1,20 @@
 """Shared deterministic random generators for the test suite."""
 
+import contextlib
 import random
+import warnings
 from fractions import Fraction
 
 from nilmat.exactmat import RMatrix, MatrixError, ZERO, ONE
 from nilmat.qflag import FlagFrame, iso_backward
+
+# Hypothesis imports this module to report a failing example; through libcst
+# it raises mypy_extensions' TypedDict DeprecationWarning, which under
+# `-W error` turns the report into an INTERNALERROR. Importing it here, once,
+# with that warning ignored keeps every other warning an error.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def rng(seed):

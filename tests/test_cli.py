@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from nilmat.cli import main
 from nilmat.exactmat import MatrixError, RMatrix
 from nilmat.qflag import FlagFrame, q_zero
 from nilmat import omega, reference
+from omega_oracles import assignment_partitions
 
 F = Fraction
 
@@ -249,6 +251,25 @@ def test_output_too_long_to_write_is_a_domain_error(tmp_path, capsys):
     code, out, err = run(capsys, "q", "iso", "--frame", f, "--matrix", m, "--inverse")
     assert (code, out) == (1, "")
     assert err == "error: number has too many digits to write out\n"
+
+
+@pytest.mark.parametrize("k", ["50000", "100000"])
+def test_omega_count_too_long_is_refused_before_it_is_computed(k, capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "omega", "count", "--n", "100000", "--k", k)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", "error: number has too many digits to write out\n")
+
+
+def test_omega_count_digit_limit_0_is_unlimited(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, _ = run(capsys, "omega", "count", "--n", "15000", "--k", "2")
+        expected = f"{2**15000 - 2}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (0, expected)
 
 
 def test_omega_pattern(capsys):
@@ -492,6 +513,27 @@ def test_omega_enumerate_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         hashlib.sha256((tmp_path / "p.json").read_bytes()).hexdigest()
         == "8899f7c7772aafb6a1910a5f602f5dd7aaef63be618221b0512b214e2e309809"
     )
+
+
+def test_omega_enumerate_matches_json_dumps_and_the_oracle(tmp_path, monkeypatch, capsys):
+    # the hand-joined layouts against the stdlib encoder and str(partition)
+    monkeypatch.chdir(tmp_path)
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            expected = list(assignment_partitions(n, k))
+            code, out, _ = run(capsys, "omega", "enumerate", "--n", str(n), "--k", str(k))
+            assert (code, out) == (0, "".join(f"{p}\n" for p in expected))
+            argv = ["omega", "enumerate", "--n", str(n), "--k", str(k), "--json", "p.json"]
+            code, out, _ = run(capsys, *argv)
+            assert (code, out) == (0, f"wrote {len(expected)} partitions to p.json\n")
+            payload = {
+                "n": n,
+                "k": k,
+                "count": len(expected),
+                "partitions": [[list(b) for b in p.blocks] for p in expected],
+            }
+            dumped = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            assert (tmp_path / "p.json").read_text() == dumped
 
 
 def test_verify_dataset(capsys):

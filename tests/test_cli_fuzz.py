@@ -108,7 +108,7 @@ def file_of(role):
     return st.sampled_from([f"{role}.json", "missing.json"])
 
 
-ints = st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "6", "3000", "x", "1.5", ""])
+ints = st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "6", "3000", "100000", "x", "1.5", ""])
 rationals = st.sampled_from(["1/16", "1/2", "0", "-1", "2", "1/0", "0.5", "x", "9" * 5000])
 outs = st.sampled_from(["out.json", "out.off", os.path.join("no-such-dir", "x")])
 choice = st.sampled_from(["omega", "q", "d", "m0", "m0plus", "m", "example1", "bogus"])

@@ -118,6 +118,25 @@ def test_count_examples():
         count_max_nilpotent(3, 0)
 
 
+def test_count_digit_limit_refuses_only_counts_longer_than_it():
+    refused = 0
+    for n in range(1, 41):
+        for k in range(1, n + 1):
+            digits = len(str(count_max_nilpotent(n, k)))
+            assert count_max_nilpotent(n, k, digits) == count_max_nilpotent(n, k)
+            for limit in range(1, digits):
+                try:
+                    count_max_nilpotent(n, k, limit)
+                except MatrixError as exc:
+                    assert str(exc) == "number has too many digits to write out"
+                    refused += 1
+    assert refused > 15000
+    # 0 is no limit, and domain errors come first
+    assert count_max_nilpotent(15000, 2, 0) == 2**15000 - 2
+    with pytest.raises(MatrixError, match="need 1 <= k <= n"):
+        count_max_nilpotent(3, 9, 1)
+
+
 def test_enumeration_canonical_order():
     two = enumerate_partitions(2, 2)
     assert two == [OrderedPartition([(1,), (2,)]), OrderedPartition([(2,), (1,)])]

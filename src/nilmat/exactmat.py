@@ -35,6 +35,20 @@ class SingularMatrix(MatrixError):
     """A matrix that needed to be invertible is singular."""
 
 
+def _parse_pair(text):
+    """(p, q) with text == "p/q" (q = 1 for "p"), q positive and not
+    necessarily coprime to p; text is a str."""
+    s = text.strip()
+    if not _RATIONAL_RE.match(s):
+        raise MatrixError(f"not an exact rational literal: {text!r}")
+    p, _, q = s.partition("/")
+    try:
+        return int(p), int(q) if q else 1
+    except ValueError as exc:
+        # int() refuses more digits than sys.get_int_max_str_digits()
+        raise MatrixError(f"rational literal too long ({len(s)} characters)") from exc
+
+
 def parse_rational(text):
     """Parse an exact rational literal "p" or "p/q".
 
@@ -43,25 +57,26 @@ def parse_rational(text):
     """
     if not isinstance(text, str):
         raise MatrixError(f"rational literal must be a string, got {type(text).__name__}")
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
-        raise MatrixError(f"not an exact rational literal: {text!r}")
+    return Fraction(*_parse_pair(text))
+
+
+def _format_pair(p, q):
+    """Text "p" or "p/q" of p / q in lowest terms, for a positive q."""
+    g = math.gcd(p, q)
+    if g != 1:
+        p //= g
+        q //= g
     try:
-        return Fraction(s)
-    except ValueError as exc:
-        # int() refuses more digits than sys.get_int_max_str_digits()
-        raise MatrixError(f"rational literal too long ({len(s)} characters)") from exc
+        return str(p) if q == 1 else f"{p}/{q}"
+    except ValueError:
+        # str() refuses ints of more than sys.get_int_max_str_digits() digits
+        raise MatrixError("number has too many digits to write out") from None
 
 
 def format_rational(value):
     """Exact text "p" or "p/q" of an int, a Fraction or an exact rational
     literal; anything else, floats and booleans included, is refused."""
-    value = _rational(value)
-    try:
-        return str(value)
-    except ValueError:
-        # str() refuses ints of more than sys.get_int_max_str_digits() digits
-        raise MatrixError("number has too many digits to write out") from None
+    return _format_pair(*_int_pair(value))
 
 
 def _is_int(x):
@@ -81,32 +96,71 @@ def int_tuple(values):
     return values
 
 
+def _size(k):
+    """k checked as a matrix dimension: a positive int, not a bool."""
+    if not _is_int(k):
+        raise MatrixError(f"matrix size must be an integer, got {type(k).__name__}")
+    if k < 1:
+        raise MatrixError("matrix needs at least one row and one column")
+    return k
+
+
+def _int_pair(x):
+    """(p, q) with x == p / q and q positive, for an int, a Fraction or an
+    exact rational literal; p and q need not be coprime."""
+    if isinstance(x, str):
+        return _parse_pair(x)
+    if _is_int(x):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise MatrixError(f"inexact or unsupported entry type: {type(x).__name__}")
+
+
 def _rational(x):
     """x as an exact int or Fraction, both of which carry numerator and
     denominator."""
     if isinstance(x, Fraction) or _is_int(x):
         return x
-    if isinstance(x, str):
-        return parse_rational(x)
-    raise MatrixError(f"inexact or unsupported entry type: {type(x).__name__}")
+    return Fraction(*_int_pair(x))
 
 
 def _int_vector(values):
     """(ints, den) with values[i] == ints[i] / den."""
-    vs = [_rational(x) for x in values]
-    den = math.lcm(*(v.denominator for v in vs))
-    return [v.numerator * (den // v.denominator) for v in vs], den
+    pairs = [_int_pair(x) for x in values]
+    den = math.lcm(*(q for _, q in pairs))
+    return [p * (den // q) for p, q in pairs], den
 
 
-def _normalised(num, den):
+def _ingested(rows_of_entries):
+    """(num, den) with rows_of_entries == num / den: each entry read as an
+    integer pair, and every row scaled to the pairs' common denominator.
+    _normalised then divides out what the pairs did not have in lowest
+    terms: a common denominator over its gcd with all numerators is the
+    lcm of the reduced denominators."""
+    pairs = [[_int_pair(x) for x in row] for row in rows_of_entries]
+    if not pairs or not pairs[0]:
+        raise MatrixError("matrix needs at least one row and one column")
+    width = len(pairs[0])
+    if any(len(row) != width for row in pairs):
+        raise MatrixError("rows have unequal lengths")
+    den = math.lcm(*(q for row in pairs for _, q in row))
+    if den == 1:
+        return tuple(tuple(p for p, _ in row) for row in pairs), 1
+    return tuple(tuple(p * (den // q) for p, q in row) for row in pairs), den
+
+
+def _normalised(num, den, m=None):
     """The matrix num / den, from integer row tuples and a positive
-    denominator, with their common factor divided out."""
+    denominator, with their common factor divided out; stored in m (a
+    matrix being initialised) when given, else in a new RMatrix."""
     if den != 1:
         g = math.gcd(den, *chain.from_iterable(num))
         if g != 1:
             num = tuple(tuple(x // g for x in row) for row in num)
             den //= g
-    m = object.__new__(RMatrix)
+    if m is None:
+        m = object.__new__(RMatrix)
     m.rows = len(num)
     m.cols = len(num[0])
     m._num = num
@@ -124,34 +178,22 @@ class RMatrix:
     __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, rows_of_entries):
-        data = tuple(tuple(_rational(x) for x in row) for row in rows_of_entries)
-        if not data or not data[0]:
-            raise MatrixError("matrix needs at least one row and one column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise MatrixError("rows have unequal lengths")
-        # entries are in lowest terms, so their denominators' lcm shares no
-        # factor with every scaled numerator
-        den = math.lcm(*(x.denominator for row in data for x in row))
-        self.rows = len(data)
-        self.cols = width
-        self._num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data)
-        self._den = den
+        _normalised(*_ingested(rows_of_entries), self)
 
     @classmethod
     def identity(cls, n):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        n = _size(n)
+        return _normalised(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
     @classmethod
     def zero(cls, rows, cols=None):
-        if cols is None:
-            cols = rows
-        return cls([[ZERO] * cols for _ in range(rows)])
+        return cls.filled(rows, rows if cols is None else cols, 0)
 
     @classmethod
     def filled(cls, rows, cols, value):
-        v = _rational(value)
-        return cls([[v] * cols for _ in range(rows)])
+        rows, cols = _size(rows), _size(cols)
+        p, q = _int_pair(value)
+        return _normalised(((p,) * cols,) * rows, q)
 
     # -- access -------------------------------------------------------------
 
@@ -221,12 +263,8 @@ class RMatrix:
                 self._den * other._den,
             )
         if isinstance(other, (int, Fraction)):
-            c = _rational(other)
-            p = c.numerator
-            return _normalised(
-                tuple(tuple(p * x for x in row) for row in self._num),
-                self._den * c.denominator,
-            )
+            p, q = _int_pair(other)
+            return _normalised(tuple(tuple(p * x for x in row) for row in self._num), self._den * q)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -307,7 +345,7 @@ class RMatrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[format_rational(x) for x in row] for row in self.to_rows()],
+            "entries": [[_format_pair(x, self._den) for x in row] for row in self._num],
         }
 
     @classmethod
@@ -326,7 +364,7 @@ class RMatrix:
             raise MatrixError("matrix JSON entries must list one row per matrix row")
         if any(not isinstance(row, list) or len(row) != cols for row in entries):
             raise MatrixError("matrix JSON row has wrong length")
-        return cls(entries)
+        return _normalised(*_ingested(entries))
 
 
 def _dot(xs, ys, total=ZERO):

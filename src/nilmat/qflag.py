@@ -10,37 +10,47 @@ on the other side of the identification.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from .exactmat import (
     RMatrix,
     MatrixError,
     SingularMatrix,
     DimensionMismatch,
-    mat_vec,
     rank,
     ONE,
     ZERO,
+    _normalised,
+    _rational,
+    _size,
     int_tuple,
 )
+
+# The membership, frame and block checks below read a matrix a as its
+# integer rows a._num over the positive denominator a._den: an entry, row
+# sum or column sum equals 1 exactly when its integer counterpart equals
+# a._den, and 0 exactly when that is 0.
 
 
 def q_zero(n):
     """The flat matrix with all entries 1/n, the semigroup's zero."""
-    return RMatrix.filled(n, n, Fraction(1, n))
+    n = _size(n)
+    return _normalised(((1,) * n,) * n, n)
 
 
 def _in_q_by_action(a):
     # cross-route: the all-ones vector is fixed and the zero-sum hyperplane
-    # is invariant (probed on the difference vectors e_1 - e_j)
+    # is invariant (probed on the difference vectors e_1 - e_j), by integer
+    # matrix-vector products
     n = a.rows
-    ones = [ONE] * n
-    if list(mat_vec(a, ones)) != ones:
+    ones = (1,) * n
+    if any(sum(map(mul, row, ones)) != a._den for row in a._num):
         return False
     for j in range(1, n):
-        u = [ZERO] * n
-        u[0] = ONE
-        u[j] = -ONE
-        if sum(mat_vec(a, u), ZERO) != 0:
+        u = [0] * n
+        u[0] = 1
+        u[j] = -1
+        if sum(sum(map(mul, row, u)) for row in a._num) != 0:
             return False
     return True
 
@@ -53,7 +63,10 @@ def is_in_q(a):
     """
     if not a.is_square:
         raise DimensionMismatch("membership needs a square matrix")
-    result = all(s == 1 for s in a.row_sums()) and all(s == 1 for s in a.col_sums())
+    den = a._den
+    result = all(sum(row) == den for row in a._num) and all(
+        sum(col) == den for col in zip(*a._num)
+    )
     assert result == _in_q_by_action(a), "sum test and action test disagree"
     return result
 
@@ -81,10 +94,10 @@ class FlagFrame:
         if not f.is_square or f.rows < 2:
             raise MatrixError("frame matrix must be square of size >= 2")
         n = f.rows
-        if any(f[i, 0] != 1 for i in range(n)):
+        if any(r[0] != f._den for r in f._num):
             raise MatrixError("first frame column must be all ones")
-        for j in range(1, n):
-            if sum(f.column(j), ZERO) != 0:
+        for j, col in enumerate(zip(*f._num)):
+            if j and sum(col) != 0:
                 raise MatrixError(f"frame column {j + 1} must have zero sum")
         try:
             f_inv = f.inverse()
@@ -169,12 +182,10 @@ def iso_forward(a, frame):
     if a.rows != frame.n or a.cols != frame.n:
         raise DimensionMismatch("matrix size must match the frame")
     m = frame.f_inv * a * frame.f
-    n = frame.n
-    if m[0, 0] != 1 or any(m[0, j] != 0 for j in range(1, n)) or any(
-        m[i, 0] != 0 for i in range(1, n)
-    ):
+    top, *rest = m._num
+    if top[0] != m._den or any(top[1:]) or any(r[0] for r in rest):
         raise MatrixError("conjugation is not block diagonal: matrix has a row or column sum != 1")
-    return RMatrix([[m[i, j] for j in range(1, n)] for i in range(1, n)])
+    return _normalised(tuple(r[1:] for r in rest), m._den)
 
 
 def iso_backward(b, frame):
@@ -183,10 +194,8 @@ def iso_backward(b, frame):
     n = frame.n
     if b.rows != n - 1 or b.cols != n - 1:
         raise DimensionMismatch("reduced matrix must have size n-1")
-    block = [[ONE] + [ZERO] * (n - 1)]
-    for i in range(n - 1):
-        block.append([ZERO] + list(b.row(i)))
-    return frame.f * RMatrix(block) * frame.f_inv
+    block = ((b._den,) + (0,) * (n - 1),) + tuple((0,) + r for r in b._num)
+    return frame.f * _normalised(block, b._den) * frame.f_inv
 
 
 def flag_membership(a, frame):
@@ -232,7 +241,7 @@ def scale_toward_zero(a, alpha):
     alpha = 0 collapses everything to the flat matrix and would break the
     membership equivalence, so it is rejected.
     """
-    alpha = Fraction(alpha)
+    alpha = _rational(alpha)
     if alpha == 0:
         raise MatrixError("scaling by 0 collapses to the zero element")
     if not is_in_q(a):
@@ -286,20 +295,19 @@ def make_stochastic_nilpotent(frame, b, alpha=None):
     """
     if not is_strictly_block_upper(b, frame):
         raise MatrixError("reduced matrix does not respect the frame's block pattern")
+    if alpha is not None:
+        alpha = _rational(alpha)
     a = iso_backward(b, frame)
     n = frame.n
     z = q_zero(n)
     if a == z:
-        if alpha is not None and Fraction(alpha) == 0:
+        if alpha == 0:
             raise MatrixError("scaling by 0 collapses to the zero element")
         return z
     if alpha is None:
-        cap = min(
-            1 / (2 * n * abs(x)) for row in a.to_rows() for x in row if x != 0
-        )
-        alpha = cap / 2
+        # half of min 1/(2n|x|) over the nonzero entries x = num / den
+        alpha = Fraction(a._den, 4 * n * max(abs(x) for r in a._num for x in r))
     else:
-        alpha = Fraction(alpha)
         lo, hi = stochastic_scaling_range(a)
         if not lo <= alpha <= hi:
             raise MatrixError(

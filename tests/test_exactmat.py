@@ -219,3 +219,25 @@ def test_row_and_column_sums():
     assert a.row_sums() == (F(3), F(7))
     assert a.col_sums() == (F(4), F(6))
     assert a.transpose() == RMatrix([[1, 3], [2, 4]])
+
+
+@pytest.mark.parametrize("size", [True, False, 1.0, "2", 0, -1])
+def test_constructors_refuse_sizes_that_are_not_positive_ints(size):
+    for build in (
+        RMatrix.identity,
+        RMatrix.zero,
+        lambda k: RMatrix.zero(2, k),
+        lambda k: RMatrix.filled(k, 2, 1),
+        lambda k: RMatrix.filled(2, k, 1),
+    ):
+        with pytest.raises(MatrixError):
+            build(size)
+
+
+def test_constructors_build_in_canonical_form():
+    assert RMatrix.identity(3) == RMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert RMatrix.zero(2, 3) == RMatrix([[0] * 3] * 2)
+    for value in (F(2, 4), "-6/8", 3, "0/5"):
+        m = RMatrix.filled(2, 3, value)
+        assert m == RMatrix([[value] * 3] * 2)
+        assert hash(m) == hash(RMatrix([[value] * 3] * 2))

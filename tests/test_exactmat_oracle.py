@@ -1,8 +1,10 @@
 """The integer-row kernel of nilmat.exactmat checked against the
 Fraction-per-entry oracle it replaced (tests/exactmat_oracle.py), on
 rational matrices with mixed denominators, negative entries, zero rows,
-repeated rows and zero columns, plus the ring laws and the hash contract."""
+repeated rows and zero columns, plus the ring laws, the hash contract and
+the reading and writing of matrix JSON."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 import exactmat_oracle as oracle
 from nilmat.exactmat import (
+    MatrixError,
     RMatrix,
     SingularMatrix,
+    format_rational,
     mat_vec,
     null_space,
     rank,
@@ -168,3 +172,82 @@ def test_equal_matrices_hash_equally(data, c):
         assert same == a
         assert hash(same) == hash(a)
     assert (a * c == a) == (c == 1 or a.is_zero())
+
+
+@st.composite
+def literals(draw):
+    """(entry, value): an int, or a "p/q" literal for the Fraction value,
+    often unreduced, signed, "-0", without "/1" or padded with whitespace."""
+    value = draw(SCALARS)
+    if value.denominator == 1 and draw(st.booleans()):
+        return int(value), value
+    k = draw(st.integers(1, 4))
+    p, q = value.numerator * k, value.denominator * k
+    sign = "-" if p < 0 else draw(st.sampled_from(["", "+", "-"] if p == 0 else ["", "+"]))
+    text = f"{sign}{abs(p)}" + ("" if q == 1 and draw(st.booleans()) else f"/{q}")
+    pad = st.sampled_from(["", " ", "\t", "\n ", "  "])
+    return draw(pad) + text + draw(pad), value
+
+
+@st.composite
+def literal_grids(draw):
+    rows, cols = draw(SIZES), draw(SIZES)
+    grid = [[draw(literals()) for _ in range(cols)] for _ in range(rows)]
+    return [[e for e, _ in row] for row in grid], [[v for _, v in row] for row in grid]
+
+
+@PROPERTY
+@given(literal_grids())
+def test_json_entries_read_as_their_fractions(grid):
+    entries, values = grid
+    m = RMatrix.from_json_dict({"rows": len(entries), "cols": len(entries[0]), "entries": entries})
+    want = RMatrix(values)
+    assert m == want and hash(m) == hash(want)
+    assert (m._num, m._den) == (want._num, want._den)
+    # the canonical form: the lcm of the reduced denominators, and the
+    # entries scaled by it
+    den = math.lcm(*(x.denominator for row in values for x in row))
+    assert m._den == den
+    assert m._num == tuple(tuple(int(x * den) for x in row) for row in values)
+    assert m.to_rows() == oracle.RMatrix(entries).to_rows()
+    assert RMatrix(entries) == m
+    written = m.to_json_dict()
+    assert written["entries"] == [[format_rational(x) for x in row] for row in values]
+    assert RMatrix.from_json_dict(written) == m
+
+
+# each refused entry and the message it has always been refused with
+REFUSED = [
+    ("0.5", "not an exact rational literal: '0.5'"),
+    ("1e3", "not an exact rational literal: '1e3'"),
+    ("1/0", "not an exact rational literal: '1/0'"),
+    ("1/-2", "not an exact rational literal: '1/-2'"),
+    (" 1 / 2", "not an exact rational literal: ' 1 / 2'"),
+    ("", "not an exact rational literal: ''"),
+    (0.5, "inexact or unsupported entry type: float"),
+    (2.0, "inexact or unsupported entry type: float"),
+    (True, "inexact or unsupported entry type: bool"),
+    (False, "inexact or unsupported entry type: bool"),
+    (None, "inexact or unsupported entry type: NoneType"),
+    ("9" * 5000, "rational literal too long (5000 characters)"),
+    ("1/" + "7" * 5000, "rational literal too long (5002 characters)"),
+]
+
+
+@pytest.mark.parametrize("entry, message", REFUSED, ids=[repr(e)[:12] for e, _ in REFUSED])
+def test_refused_entries_keep_their_messages(entry, message):
+    doc = {"rows": 2, "cols": 2, "entries": [["1", entry], ["0", "1"]]}
+    for read in (RMatrix.from_json_dict, lambda d: RMatrix(d["entries"])):
+        with pytest.raises(MatrixError) as exc:
+            read(doc)
+        assert str(exc.value) == message
+    with pytest.raises(MatrixError) as exc:
+        format_rational(entry)
+    assert str(exc.value) == message
+
+
+def test_writing_refuses_numbers_too_long_for_text():
+    big = 10**5000
+    for m in (RMatrix([[big, 1]]), RMatrix([[1, Fraction(1, big)]])):
+        with pytest.raises(MatrixError, match="^number has too many digits to write out$"):
+            m.to_json_dict()

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import exactmat_oracle as oracle
 from conftest import (
     rng,
     rand_block_upper,
@@ -9,6 +10,7 @@ from conftest import (
     rand_matrix,
     rand_q_matrix,
 )
+from nilmat import qflag
 from nilmat.exactmat import RMatrix, MatrixError
 from nilmat.qflag import (
     FlagFrame,
@@ -300,3 +302,140 @@ def test_distinct_flags_are_separated_by_a_stochastic_element():
     assert is_doubly_stochastic(witness)
     assert flag_membership(witness, frame_b)
     assert not flag_membership(witness, frame_a)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, True, False, "x", "0.5", None], ids=repr)
+def test_scaling_refuses_inexact_alpha(alpha):
+    frame = FlagFrame.standard(4)
+    a = iso_backward(shift_matrix(3), frame)
+    with pytest.raises(MatrixError):
+        scale_toward_zero(a, alpha)
+    if alpha is not None:
+        for b in (shift_matrix(3), RMatrix.zero(3)):
+            with pytest.raises(MatrixError):
+                make_stochastic_nilpotent(frame, b, alpha)
+
+
+def test_scaling_reads_exact_alpha_literals():
+    frame = FlagFrame.standard(4)
+    b = shift_matrix(3)
+    a = iso_backward(b, frame)
+    assert scale_toward_zero(a, "1/3") == scale_toward_zero(a, F(1, 3))
+    assert make_stochastic_nilpotent(frame, b, "1/100") == make_stochastic_nilpotent(
+        frame, b, F(1, 100)
+    )
+
+
+@pytest.mark.parametrize("size", [True, 1.0, 0, -2, "3"])
+def test_q_zero_refuses_sizes_that_are_not_positive_ints(size):
+    with pytest.raises(MatrixError):
+        q_zero(size)
+
+
+# Fraction reference code for the integer routes of nilmat.qflag
+
+
+def _ref_in_q(rows):
+    return all(sum(r) == 1 for r in rows) and all(sum(c) == 1 for c in zip(*rows))
+
+
+def _ref_frame_error(rows):
+    if any(r[0] != 1 for r in rows):
+        return "first frame column must be all ones"
+    for j, col in enumerate(zip(*rows)):
+        if j and sum(col) != 0:
+            return f"frame column {j + 1} must have zero sum"
+    return None
+
+
+def _ref_reduced(rows):
+    """The reduced block of a conjugated matrix, or None when it is not
+    block diagonal."""
+    top, *rest = rows
+    if top[0] != 1 or any(top[1:]) or any(r[0] for r in rest):
+        return None
+    return [r[1:] for r in rest]
+
+
+def _ref_default_alpha(rows):
+    n = len(rows)
+    return min(1 / (2 * n * abs(x)) for r in rows for x in r if x != 0) / 2
+
+
+def _perturbed(r, rows):
+    """rows, half of the time with a nonzero amount added to one entry,
+    either alone or taken back from another entry of its row (row sums
+    kept) or of its column (column sums kept)."""
+    rows = [list(row) for row in rows]
+    if r.random() < 0.5:
+        n, m = len(rows), len(rows[0])
+        i, j = r.randrange(n), r.randrange(m)
+        delta = F(r.choice([-1, 1]) * r.randint(1, 3), r.randint(1, 4))
+        rows[i][j] += delta
+        kind = r.choice(["entry", "row", "column"])
+        if kind == "row" and m > 1:
+            rows[i][(j + r.randrange(1, m)) % m] -= delta
+        elif kind == "column" and n > 1:
+            rows[(i + r.randrange(1, n)) % n][j] -= delta
+    return rows
+
+
+def test_integer_routes_agree_with_fraction_reference_code():
+    r = rng(39)
+    seen = set()
+    for _ in range(90):
+        n = r.randint(2, 6)
+        frame = rand_frame(r, n)
+        rows = _perturbed(r, rand_q_matrix(r, frame).to_rows())
+        a = RMatrix(rows)
+        member = _ref_in_q(rows)
+        seen.add(member)
+        assert is_in_q(a) == member
+        # the conjugation's constant block, computed entry by entry
+        conj = oracle.RMatrix(frame.f_inv.to_rows()) * oracle.RMatrix(rows)
+        want = _ref_reduced((conj * oracle.RMatrix(frame.f.to_rows())).to_rows())
+        assert (want is not None) == member
+        if want is None:
+            with pytest.raises(MatrixError, match="not block diagonal"):
+                iso_forward(a, frame)
+        else:
+            assert iso_forward(a, frame) == RMatrix(want)
+        f_rows = _perturbed(r, frame.f.to_rows())
+        message = _ref_frame_error(f_rows)
+        if message is None:
+            assert FlagFrame(RMatrix(f_rows), frame.dims).f == RMatrix(f_rows)
+        else:
+            with pytest.raises(MatrixError) as exc:
+                FlagFrame(RMatrix(f_rows), frame.dims)
+            assert str(exc.value) == message
+    assert seen == {True, False}
+
+
+def test_default_alpha_agrees_with_fraction_reference_code():
+    r = rng(40)
+    for _ in range(30):
+        frame = rand_frame(r, r.randint(2, 6))
+        b = rand_block_upper(r, frame)
+        a = iso_backward(b, frame)
+        if a == q_zero(frame.n):
+            continue
+        alpha = _ref_default_alpha(a.to_rows())
+        assert make_stochastic_nilpotent(frame, b) == scale_toward_zero(a, alpha)
+
+
+def test_cross_checks_are_live(monkeypatch):
+    # the action route, the two-entry scaling bounds and the final
+    # stochasticity check are assertions the integer routes must keep
+    a = rand_q_matrix(rng(41), FlagFrame.standard(4))
+    with monkeypatch.context() as m:
+        m.setattr(qflag, "_in_q_by_action", lambda a: False)
+        with pytest.raises(AssertionError):
+            is_in_q(a)
+    with monkeypatch.context() as m:
+        m.setattr(RMatrix, "max_entry", RMatrix.min_entry)
+        with pytest.raises(AssertionError):
+            stochastic_scaling_range(a)
+    with monkeypatch.context() as m:
+        m.setattr(qflag, "is_doubly_stochastic", lambda a: False)
+        with pytest.raises(AssertionError):
+            make_stochastic_nilpotent(FlagFrame.standard(4), shift_matrix(3))

@@ -180,7 +180,7 @@ def _cmd_polytope_build(args, out):
     lines = [
         f"d = {h.d}\n",
         f"inequalities = {len(h.rows)}\n",
-        f"vertices = {len(v.vertices)}\n",
+        f"vertices = {len(v.rays)}\n",
         f"bounded = {'true' if polytope.is_bounded(h) else 'false'}\n",
     ]
     if args.census:

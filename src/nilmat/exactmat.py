@@ -20,6 +20,12 @@ from operator import mul
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# the most entries a matrix built from its size alone (identity, zero,
+# filled, the flat matrix, a standard frame) may have: far past anything
+# exact elimination can finish, and small enough to fail at once rather
+# than exhaust memory
+MAX_ENTRIES = 10**6
+
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?\Z")
 
 
@@ -96,13 +102,22 @@ def int_tuple(values):
     return values
 
 
-def _size(k):
-    """k checked as a matrix dimension: a positive int, not a bool."""
-    if not _is_int(k):
-        raise MatrixError(f"matrix size must be an integer, got {type(k).__name__}")
-    if k < 1:
-        raise MatrixError("matrix needs at least one row and one column")
-    return k
+def _shape(rows, cols):
+    """(rows, cols) checked as the shape of a matrix to build: positive
+    ints, not bools, with at most MAX_ENTRIES entries in all."""
+    for k in (rows, cols):
+        if not _is_int(k):
+            raise MatrixError(f"matrix size must be an integer, got {type(k).__name__}")
+        if k < 1:
+            raise MatrixError("matrix needs at least one row and one column")
+    if max(rows, cols) > MAX_ENTRIES or rows * cols > MAX_ENTRIES:
+        raise MatrixError(f"matrices built by size are limited to {MAX_ENTRIES} entries")
+    return rows, cols
+
+
+def _size(n):
+    """n checked as the size of an n x n matrix to build."""
+    return _shape(n, n)[0]
 
 
 def _int_pair(x):
@@ -191,7 +206,7 @@ class RMatrix:
 
     @classmethod
     def filled(cls, rows, cols, value):
-        rows, cols = _size(rows), _size(cols)
+        rows, cols = _shape(rows, cols)
         p, q = _int_pair(value)
         return _normalised(((p,) * cols,) * rows, q)
 

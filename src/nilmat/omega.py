@@ -9,7 +9,7 @@ test against the pattern.
 import math
 
 from .boolrel import _MAXIMALITY_MAX_N, BoolMatrix, is_rook, nilpotency_index, support_pattern
-from .exactmat import RMatrix, MatrixError, ONE, ZERO, int_tuple
+from .exactmat import RMatrix, MatrixError, ONE, ZERO, _is_int, int_tuple
 
 KINDS = ("omega", "m0", "m0plus")
 
@@ -163,6 +163,17 @@ def membership(a, pattern, kind="omega"):
     return support.is_subset(pattern)
 
 
+def _check_block_count(n, k):
+    """n and k checked as a set size and a block count: ints, not bools,
+    with 1 <= k <= n."""
+    if not (_is_int(n) and _is_int(k)):
+        raise MatrixError(
+            f"n and k must be integers, got {type(n).__name__} and {type(k).__name__}"
+        )
+    if not (1 <= k <= n):
+        raise MatrixError(f"need 1 <= k <= n, got k={k}, n={n}")
+
+
 def count_max_nilpotent(n, k, max_digits=0):
     """Number of maximal nilpotent subsemigroups of class k, i.e. the
     number of surjections from an n-set onto k ordered blocks, by
@@ -170,8 +181,7 @@ def count_max_nilpotent(n, k, max_digits=0):
 
     A positive max_digits refuses, before any big-integer work, an (n, k)
     whose count surely has more decimal digits than that."""
-    if not (1 <= k <= n):
-        raise MatrixError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_block_count(n, k)
     # the count is at least k!·k^(n-k) (the first k elements go onto the
     # blocks bijectively, the rest anywhere), so at least 2^bits with bits
     # the sum of floor(log2 i) over i <= k plus (n - k)·floor(log2 k)
@@ -189,8 +199,7 @@ def iter_ordered_partitions(n, k):
     Canonical order: blocks hold sorted contents and partitions come out
     lexicographically by the vector (block index of 1, ..., block index
     of n)."""
-    if not (1 <= k <= n):
-        raise MatrixError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_block_count(n, k)
     if n > _MAXIMALITY_MAX_N:
         raise MatrixError(f"partition enumeration limited to n <= {_MAXIMALITY_MAX_N}")
 

@@ -9,7 +9,6 @@ space. Everything here stays in exact rational arithmetic; only the OFF
 mesh export writes decimal approximations.
 """
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ from .exactmat import (
     _is_int,
     _rational,
     _reduce,
+    _size,
     format_rational,
     parse_rational,
     solve_unique,
@@ -114,9 +114,12 @@ def _vertex(v):
 
 
 class VPolytope:
-    """Vertex description, lexicographically sorted."""
+    """Vertex description in canonical form: `rays` holds each vertex x
+    once, as the primitive integer tuple (t, t x) with t > 0, in
+    lexicographic vertex order. `vertices` holds the same vertices as
+    Fraction tuples, built on first use."""
 
-    __slots__ = ("d", "vertices")
+    __slots__ = ("d", "rays", "_vertices")
 
     def __init__(self, d, vertices):
         _check_dimension(d)
@@ -127,17 +130,30 @@ class VPolytope:
         if any(len(v) != d for v in vs):
             raise MatrixError("vertex arity does not match the dimension")
         self.d = d
-        self.vertices = tuple(vs)
+        self.rays = tuple(_primitive((1,) + v) for v in vs)
+        self._vertices = tuple(vs)
+
+    @classmethod
+    def _from_rays(cls, d, rays):
+        """The polytope of rays already in canonical form: primitive integer
+        tuples (t, t x) with t > 0, distinct and in vertex order."""
+        v = object.__new__(cls)
+        v.d, v.rays, v._vertices = d, rays, None
+        return v
+
+    @property
+    def vertices(self):
+        if self._vertices is None:
+            self._vertices = tuple(
+                tuple(Fraction(x, y[0]) for x in y[1:]) for y in self.rays
+            )
+        return self._vertices
 
     def __eq__(self, other):
-        return (
-            isinstance(other, VPolytope)
-            and self.d == other.d
-            and self.vertices == other.vertices
-        )
+        return isinstance(other, VPolytope) and self.d == other.d and self.rays == other.rays
 
     def __repr__(self):
-        return f"VPolytope(d={self.d}, {len(self.vertices)} vertices)"
+        return f"VPolytope(d={self.d}, {len(self.rays)} vertices)"
 
 
 def upper_triangle_positions(size):
@@ -148,12 +164,16 @@ def upper_triangle_positions(size):
 
 def matrix_from_params(size, x):
     """Strictly upper triangular matrix with the given parameters."""
-    positions = upper_triangle_positions(size)
+    positions = upper_triangle_positions(_size(size))
+    # a string or a dict would iterate as characters or keys
+    if not isinstance(x, (tuple, list)):
+        raise MatrixError("matrix parameters must be a tuple or list")
+    x = [_rational(v) for v in x]
     if len(x) != len(positions):
         raise MatrixError(f"expected {len(positions)} parameters, got {len(x)}")
     rows = [[ZERO] * size for _ in range(size)]
     for (i, j), v in zip(positions, x):
-        rows[i][j] = Fraction(v)
+        rows[i][j] = v
     return RMatrix(rows)
 
 
@@ -191,9 +211,7 @@ def build_h_polytope(frame):
 
 def enumerate_vertices(h):
     """All vertices, exactly, by the double description method."""
-    v = object.__new__(VPolytope)  # the pass's vertices are sorted, distinct Fractions
-    v.d, v.vertices = h.d, tuple(p for p, _ in _double_description(h)[0])
-    return v
+    return VPolytope._from_rays(h.d, tuple(y for y, _ in _double_description(h)[0]))
 
 
 def is_bounded(h):
@@ -218,8 +236,9 @@ def _double_description(h):
 
 def _run_double_description(h):
     """(vertices, unbounded) of {x : constant + coeffs . x >= 0}, with
-    vertices the sorted (x, mask) pairs: bit i of mask is set when row i of
-    h.rows is tight on the vertex x.
+    vertices the (ray, mask) pairs in vertex order: ray is the primitive
+    integer tuple (t, t x) with t > 0 of the vertex x, and bit i of mask
+    is set when row i of h.rows is tight on x.
 
     The double description method (Motzkin et al. 1953; Fukuda and Prodon
     1996) on the homogenised cone {(t, x) : t >= 0, t * constant +
@@ -277,9 +296,8 @@ def _run_double_description(h):
     points = [(y, tight) for y, tight in rays if y[0]]
     scale = math.lcm(*(y[0] for y, _ in points))
     points.sort(key=lambda p: list(map((scale // p[0][0]).__mul__, p[0][1:])))
-    vertices = [(tuple(Fraction(x, y[0]) for x in y[1:]), tight >> 1) for y, tight in points]
     # the rays with t = 0 are the recession directions
-    return vertices, len(points) < len(rays)
+    return [(y, tight >> 1) for y, tight in points], len(points) < len(rays)
 
 
 def _primitive(values):
@@ -292,7 +310,25 @@ def _primitive(values):
 
 def facet_incidence(h):
     """Facet-defining inequalities of a bounded polytope h, each with the
-    indices of its tight vertices in enumerate_vertices(h).
+    indices of its tight vertices in enumerate_vertices(h)."""
+    count = len(_double_description(h)[0])
+    return [
+        (h.inequalities[r], tuple(i for i in range(count) if m >> i & 1))
+        for r, m in _facet_masks(h)
+    ]
+
+
+def facet_census(h):
+    """Multiset of per-facet vertex counts, for 3-dimensional polytopes."""
+    if h.d != 3:
+        raise MatrixError("facet census defined for 3-dimensional polytopes only")
+    return Counter(m.bit_count() for _, m in _facet_masks(h))
+
+
+def _facet_masks(h):
+    """(r, mask) for each row r of h.rows that defines a facet of the
+    bounded polytope h, in row order: bit i of mask is set when the row is
+    tight on vertex i of enumerate_vertices(h).
 
     A row defines a facet when its tight vertices affinely span dimension
     d - 1. Each row's tight vertices form one bitmask, the transpose of the
@@ -312,37 +348,26 @@ def facet_incidence(h):
       the facets are the implicit rows.
     * Lower dimension: no face spans d - 1, so there are no facets.
     """
-    if _double_description(h)[1]:
+    vertices, unbounded = _double_description(h)
+    if unbounded:
         raise MatrixError(
             f"facets are defined for bounded polytopes with d <= {MAX_DIMENSION} only"
         )
-    tight = [t for _, t in _double_description(h)[0]]
+    tight = [t for _, t in vertices]
     masks = [sum(1 << i for i, t in enumerate(tight) if t >> r & 1) for r in range(len(h.rows))]
     everything = (1 << len(tight)) - 1
     implicit = [list(row) for row, m in zip(h.rows, masks) if m == everything]
     codim = len(_reduce(implicit, h.d + 1))
     if codim == 0:
         proper = [m for m in masks if m != everything]
-        chosen = [
-            0 < m < everything and not any(o != m and o & m == m for o in proper)
-            for m in masks
+        return [
+            (r, m)
+            for r, m in enumerate(masks)
+            if 0 < m < everything and not any(o != m and o & m == m for o in proper)
         ]
-    elif codim == 1:
-        chosen = [m == everything for m in masks]
-    else:
-        return []
-    return [
-        (iq, tuple(i for i in range(len(tight)) if m >> i & 1))
-        for iq, m, keep in zip(h.inequalities, masks, chosen)
-        if keep
-    ]
-
-
-def facet_census(h):
-    """Multiset of per-facet vertex counts, for 3-dimensional polytopes."""
-    if h.d != 3:
-        raise MatrixError("facet census defined for 3-dimensional polytopes only")
-    return Counter(len(tight) for _, tight in facet_incidence(h))
+    if codim == 1:
+        return [(r, m) for r, m in enumerate(masks) if m == everything]
+    return []
 
 
 # -- serialization ------------------------------------------------------------
@@ -359,6 +384,49 @@ def polytope_to_json_dict(v, h):
         ],
         "vertices": [[format_rational(x) for x in p] for p in v.vertices],
     }
+
+
+def _to_json(v, h):
+    """json.dumps(polytope_to_json_dict(v, h), indent=2, sort_keys=True)
+    plus a newline, joined by hand from the integer rows and rays: with
+    indent set, json.dumps runs its pure-Python encoder."""
+    if v.d != h.d:
+        raise MatrixError("vertex and inequality descriptions disagree on dimension")
+    try:
+        inequalities = [
+            '    {\n      "coeffs": [\n        "'
+            + '",\n        "'.join(map(str, row[1:]))
+            + f'"\n      ],\n      "constant": "{row[0]}"\n    }}'
+            for row in h.rows
+        ]
+        vertices = [
+            '    [\n      "' + '",\n      "'.join(_coordinates(y)) + '"\n    ]' for y in v.rays
+        ]
+    except ValueError:
+        # str() refuses ints of more than sys.get_int_max_str_digits() digits
+        raise MatrixError("number has too many digits to write out") from None
+    return (
+        f'{{\n  "d": {h.d},\n  "inequalities": {_json_list(inequalities)},\n'
+        f'  "vertices": {_json_list(vertices)}\n}}\n'
+    )
+
+
+def _coordinates(ray):
+    """The texts "p" or "p/q" of the vertex x of ray = (t, t x)."""
+    t = ray[0]
+    if t == 1:
+        return map(str, ray[1:])
+    texts = []
+    for x in ray[1:]:
+        g = math.gcd(x, t)
+        texts.append(str(x // g) if g == t else f"{x // g}/{t // g}")
+    return texts
+
+
+def _json_list(items):
+    """A JSON list, at indent 2 inside the top-level object, of items
+    already written at their own indent."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def polytope_from_json_dict(obj):
@@ -453,9 +521,7 @@ def _to_off(v, h):
 def export_polytope(v, h, fmt):
     """Serialize to bytes, either exact JSON or an approximate OFF mesh."""
     if fmt == "json":
-        return (
-            json.dumps(polytope_to_json_dict(v, h), indent=2, sort_keys=True) + "\n"
-        ).encode()
+        return _to_json(v, h).encode()
     if fmt == "off":
         return _to_off(v, h).encode()
     raise MatrixError(f"unknown export format: {fmt!r}")

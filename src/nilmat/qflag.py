@@ -137,6 +137,7 @@ class FlagFrame:
     def standard(cls, n, dims=None):
         """Frame with the difference basis e_i - e_(i+1); complete flag by
         default."""
+        n = _size(n)
         cols = [[ONE] * n]
         for i in range(n - 1):
             col = [ZERO] * n

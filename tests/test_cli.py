@@ -15,7 +15,7 @@ from nilmat import cli
 from nilmat.cli import main
 from nilmat.exactmat import MatrixError, RMatrix
 from nilmat.qflag import FlagFrame, q_zero
-from nilmat import omega, reference
+from nilmat import omega, polytope, reference
 from omega_oracles import assignment_partitions
 
 F = Fraction
@@ -493,6 +493,29 @@ def test_polytope_build_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
     if "all" in GOLDEN_BUILDS[name]:
         digests = {"all": every.hexdigest()}
     assert digests == GOLDEN_BUILDS[name]
+
+
+def test_polytope_build_reads_no_fraction_views(tmp_path, monkeypatch, capsys):
+    # the census, the counts and the JSON export come from the integer rows,
+    # rays and masks alone
+    monkeypatch.chdir(tmp_path)
+    argv = ["polytope", "build", "--frame", "frame.json", "--census", "--out", "poly.json"]
+    expected = []
+    for frame in (reference.reference_frame(), rand_frame(rng(3), 4)):
+        write_json(tmp_path / "frame.json", frame.to_json_dict())
+        code, out, _ = run(capsys, *argv)
+        expected.append((code, out, (tmp_path / "poly.json").read_bytes()))
+
+    def refuse(self):
+        raise AssertionError("a Fraction view was built")
+
+    monkeypatch.setattr(polytope.VPolytope, "vertices", property(refuse))
+    monkeypatch.setattr(polytope.HPolytope, "inequalities", property(refuse))
+    for frame, before in zip((reference.reference_frame(), rand_frame(rng(3), 4)), expected):
+        write_json(tmp_path / "frame.json", frame.to_json_dict())
+        code, out, _ = run(capsys, *argv)
+        assert (code, out, (tmp_path / "poly.json").read_bytes()) == before
+        assert code == 0 and "facet census = {" in out
 
 
 # sha256 of `omega enumerate` output, pinned from the assignment-vector

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import rng, rand_matrix, rand_nonsingular
 from nilmat.exactmat import (
+    MAX_ENTRIES,
     RMatrix,
     MatrixError,
     DimensionMismatch,
@@ -17,6 +18,7 @@ from nilmat.exactmat import (
     rank,
     solve_unique,
 )
+from nilmat.qflag import FlagFrame, q_zero
 
 F = Fraction
 
@@ -232,6 +234,21 @@ def test_constructors_refuse_sizes_that_are_not_positive_ints(size):
     ):
         with pytest.raises(MatrixError):
             build(size)
+
+
+def test_constructors_refuse_oversized_shapes_at_once():
+    for build in (
+        lambda: RMatrix.identity(10**20),
+        lambda: RMatrix.zero(10**20),
+        lambda: RMatrix.zero(2, MAX_ENTRIES),
+        lambda: RMatrix.filled(MAX_ENTRIES + 1, 1, 0),
+        lambda: RMatrix.identity(10**5000),
+        lambda: q_zero(10**20),
+        lambda: FlagFrame.standard(10**20),
+    ):
+        with pytest.raises(MatrixError, match="limited to"):
+            build()
+    assert RMatrix.zero(1, MAX_ENTRIES).cols == MAX_ENTRIES
 
 
 def test_constructors_build_in_canonical_form():

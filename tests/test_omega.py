@@ -118,6 +118,14 @@ def test_count_examples():
         count_max_nilpotent(3, 0)
 
 
+@pytest.mark.parametrize("n, k", [(5.0, 2), (True, True), (3, 2.0), ("3", 2), (3, None)])
+def test_counts_that_are_not_ints_are_refused(n, k):
+    with pytest.raises(MatrixError, match="must be integers"):
+        count_max_nilpotent(n, k)
+    with pytest.raises(MatrixError, match="must be integers"):
+        next(iter_ordered_partitions(n, k))
+
+
 def test_count_digit_limit_refuses_only_counts_longer_than_it():
     refused = 0
     for n in range(1, 41):

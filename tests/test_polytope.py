@@ -1,9 +1,11 @@
 import json
+import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import rng, rand_frame
+from conftest import rng, rand_frame, rand_tree_frame
 from nilmat import polytope
 from nilmat.exactmat import RMatrix, MatrixError
 from nilmat.polytope import (
@@ -105,6 +107,25 @@ def test_parameter_positions_are_row_major():
     assert m == RMatrix([[0, 5, 7], [0, 0, 11], [0, 0, 0]])
     with pytest.raises(MatrixError):
         matrix_from_params(3, [F(1)])
+    assert matrix_from_params(3, [5, "7", F(11)]) == m
+
+
+@pytest.mark.parametrize(
+    "size, x",
+    [
+        (3, [0.5, 0.25, 1.5]),
+        (3, [True, 0, 1]),
+        ("3", [1, 2, 3]),
+        (3.0, [1, 2, 3]),
+        (3, "123"),
+        (3, None),
+        (10**20, []),
+    ],
+    ids=["float-params", "bool-param", "str-size", "float-size", "str-params", "none", "huge"],
+)
+def test_matrix_from_params_refuses_inexact_input(size, x):
+    with pytest.raises(MatrixError):
+        matrix_from_params(size, x)
 
 
 def test_build_h_polytope_reproduces_reference_systems():
@@ -278,6 +299,63 @@ def test_json_export_round_trip():
     assert h2 == h
     # byte determinism
     assert export_polytope(v, h, "json") == blob
+
+
+def dumped(v, h):
+    """The JSON export as the stdlib encoder writes it."""
+    return (json.dumps(polytope_to_json_dict(v, h), indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("make", [rand_frame, rand_tree_frame], ids=["dense", "tree"])
+def test_json_export_matches_json_dumps(make, n):
+    for seed in range(4):
+        h = build_h_polytope(make(rng(seed), n))
+        v = enumerate_vertices(h)
+        assert export_polytope(v, h, "json") == dumped(v, h)
+
+
+def test_json_export_of_empty_lists_matches_json_dumps():
+    # a box with x >= 1 and x <= -1 has rows but no vertices
+    empty_box = HPolytope(1, [ineq(-1, 1), ineq(-1, -1)])
+    for v, h in (
+        (VPolytope(2, []), HPolytope(2, [])),
+        (enumerate_vertices(empty_box), empty_box),
+        (VPolytope(1, [(F(1, 3),)]), HPolytope(1, [])),
+        (VPolytope(1, []), empty_box),
+    ):
+        assert export_polytope(v, h, "json") == dumped(v, h)
+
+
+def test_json_export_digit_limit_matches_json_dumps():
+    limit = sys.get_int_max_str_digits()
+    # limit digits are written, limit + 1 refused, in a row or a vertex
+    for big, writable in ((10**limit - 1, True), (10**limit, False)):
+        for v, h in (
+            (VPolytope(1, [(big,)]), HPolytope(1, [])),
+            (VPolytope(1, [(F(-1, big),)]), HPolytope(1, [])),
+            (VPolytope(1, []), HPolytope(1, [ineq(big, 1)])),
+            (VPolytope(1, []), HPolytope(1, [ineq(1, big)])),
+        ):
+            if writable:
+                assert export_polytope(v, h, "json") == dumped(v, h)
+                continue
+            for write in (lambda: export_polytope(v, h, "json"), lambda: dumped(v, h)):
+                with pytest.raises(MatrixError, match="^number has too many digits to write out$"):
+                    write()
+
+
+def test_ray_built_vertices_equal_fraction_built_ones():
+    for seed in range(4):
+        h = build_h_polytope(rand_frame(rng(seed), 4))
+        v = enumerate_vertices(h)
+        same = VPolytope(h.d, reversed(v.vertices))
+        assert same == v and same.rays == v.rays and same.vertices == v.vertices
+        assert export_polytope(same, h, "json") == export_polytope(v, h, "json")
+        for y, p in zip(v.rays, v.vertices):
+            assert y[0] > 0 and math.gcd(*y) == 1
+            assert p == tuple(F(x, y[0]) for x in y[1:])
+    assert VPolytope(2, [(F(1, 2), 1), (F(-2, 3), F(1, 6))]).rays == ((6, -4, 1), (2, 1, 2))
 
 
 def test_json_dict_rejects_garbage():

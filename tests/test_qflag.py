@@ -110,6 +110,9 @@ def test_standard_frame_structure():
     partial = FlagFrame.standard(4, dims=[2, 3])
     assert not partial.is_complete
     assert [partial.block_of(j) for j in (1, 2, 3)] == [1, 1, 2]
+    for size in (3.0, True, "3", None):
+        with pytest.raises(MatrixError, match="matrix size must be an integer"):
+            FlagFrame.standard(size)
 
 
 def test_iso_forward_examples():

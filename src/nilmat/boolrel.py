@@ -6,7 +6,7 @@ whenever bit (i, j) is set. Rows are stored as integer bitmasks, which
 makes composition a handful of bitwise ORs.
 """
 
-from .exactmat import MatrixError, _is_int, int_tuple
+from .exactmat import MatrixError, _is_int, _shown, int_tuple
 
 _CLOSURE_MAX_N = 5
 _MAXIMALITY_MAX_N = 10  # also the bound of omega.iter_ordered_partitions
@@ -36,11 +36,26 @@ class BoolMatrix:
 
     @classmethod
     def from_pairs(cls, n, pairs):
-        """Build from 0-based (i, j) pairs."""
+        """Build from 0-based (i, j) pairs of ints."""
+        if not _is_int(n) or n < 1:
+            raise MatrixError("BoolMatrix size must be a positive integer")
+        try:
+            pairs = list(pairs)
+        except TypeError:
+            raise MatrixError(f"not a sequence of (i, j) pairs: {_shown(pairs)}") from None
+        for pair in pairs:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(_is_int, pair)):
+                raise MatrixError(f"bad bit entry: {_shown(pair)}")
+        return cls._from_pairs(n, pairs)
+
+    @classmethod
+    def _from_pairs(cls, n, pairs):
+        # trusted path for a size and pairs that are ints already, such as
+        # RMatrix.nonzero_positions gives
         rows = [0] * n
         for i, j in pairs:
             if not (0 <= i < n and 0 <= j < n):
-                raise MatrixError(f"bit ({i}, {j}) out of range for size {n}")
+                raise MatrixError(f"bit ({_shown(i)}, {_shown(j)}) out of range for size {n}")
             rows[i] |= 1 << j
         return cls(n, rows)
 
@@ -114,7 +129,7 @@ class BoolMatrix:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise MatrixError(f"bit ({i}, {j}) out of range for size {n}")
             pairs.append((i - 1, j - 1))
-        return cls.from_pairs(n, pairs)
+        return cls._from_pairs(n, pairs)
 
 
 def support_pattern(a):
@@ -127,7 +142,7 @@ def support_pattern(a):
         raise MatrixError("support pattern needs a square matrix")
     if a.min_entry() < 0:
         raise MatrixError("negative entry; support map undefined")
-    return BoolMatrix.from_pairs(a.rows, a.nonzero_positions())
+    return BoolMatrix._from_pairs(a.rows, a.nonzero_positions())
 
 
 def _set_bits(mask):

@@ -11,6 +11,7 @@ import functools
 import json
 import os
 import sys
+from itertools import starmap
 
 from . import boolrel, omega, polytope, qflag, reference
 from .exactmat import MatrixError, RMatrix, format_rational, parse_rational
@@ -89,42 +90,66 @@ def _cmd_omega_count(args, out):
     return 0
 
 
-class _Rendered(dict):
-    """Text of each key, made by render(key) on its first lookup."""
+# (element separator, block open, block close, block separator, line open,
+# line close) of each omega enumerate layout; the JSON one gives the bytes
+# of _dump's {"n", "k", "count", "partitions"} with every partition item
+# followed by the item separator, which the last item drops
+_TEXT_LAYOUT = (",", "", "", "|", "", "\n")
+_JSON_LAYOUT = (",\n        ", "[\n        ", "\n      ]", ",\n      ", "[\n      ", "\n    ],\n    ")
 
-    def __init__(self, render):
-        self.render = render
 
-    def __missing__(self, key):
-        text = self[key] = self.render(key)
-        return text
+def _rendered_chunks(n, k, layout):
+    """(count, text) of each head's chunk of partitions, in order.
+
+    Each tail is rendered once as 2k texts: its block j plain, then block j
+    after the element separator (empty for an empty block). Each head
+    becomes one str.format template whose block j is the head's text
+    followed by the separated tail field, or the plain tail field where the
+    head leaves block j empty; that template is itself formatted from one
+    per set of blocks the head fills. Block texts hold only digits,
+    brackets, commas, spaces and newlines, so no brace needs escaping."""
+    sep, block_open, block_close, block_sep, line_open, line_close = layout
+    plain_text = functools.cache(lambda block: sep.join(map(str, block)))
+
+    @functools.cache
+    def block_texts(block):
+        plain = plain_text(block)
+        return plain, sep + plain if plain else ""
+
+    def tail_texts(blocks):
+        # list() first, here and below: a tuple built straight from a map is
+        # resized, which strands a spare tuple in the interpreter's free list
+        plain, after = zip(*list(map(block_texts, blocks)))
+        return plain + after
+
+    @functools.cache
+    def head_template(*filled):
+        # takes a head's plain block texts to its line template: the tail
+        # fields stay escaped until then
+        return line_open + block_sep.join(
+            block_open + (f"{{{j}}}{{{{{k + j}}}}}" if f else f"{{{{{j}}}}}") + block_close
+            for j, f in enumerate(filled)
+        ) + line_close
+
+    for head, tails in omega._partition_chunks(n, k, tail_texts):
+        template = head_template(*list(map(bool, head))).format(*list(map(plain_text, head)))
+        yield len(tails), "".join(starmap(template.format, tails))
 
 
 def _cmd_omega_enumerate(args, out):
-    # each distinct block (at most 2^n - 1 of them) is rendered once, and
-    # every line or JSON item is joined from the cached texts
     if not args.json:
-        text = _Rendered(lambda block: ",".join(map(str, block))).__getitem__
-        # streamed: memory stays flat however many partitions there are
-        for p in omega.iter_ordered_partitions(args.n, args.k):
-            out.write("|".join(map(text, p.blocks)) + "\n")
+        # streamed a head at a time: each write holds at most 1,024 lines
+        for _, text in _rendered_chunks(args.n, args.k, _TEXT_LAYOUT):
+            out.write(text)
         return 0
-    partitions = omega.enumerate_partitions(args.n, args.k)
-    # the bytes _dump would write for {"n", "k", "count", "partitions"},
-    # joined by hand: with indent set, json.dumps runs its pure-Python encoder
-    item = _Rendered(
-        lambda block: "[\n        " + ",\n        ".join(map(str, block)) + "\n      ]"
-    )
-    body = ",\n    ".join(
-        "[\n      " + ",\n      ".join(map(item.__getitem__, p.blocks)) + "\n    ]"
-        for p in partitions
-    )
-    document = (
-        f'{{\n  "count": {len(partitions)},\n  "k": {args.k},\n  "n": {args.n},\n'
-        f'  "partitions": [\n    {body}\n  ]\n}}\n'
-    )
-    _write_files([(args.json, document.encode())])
-    out.write(f"wrote {len(partitions)} partitions to {args.json}\n")
+    count, chunks = 0, []
+    for size, text in _rendered_chunks(args.n, args.k, _JSON_LAYOUT):
+        count += size
+        chunks.append(text.encode())
+    chunks[-1] = chunks[-1].removesuffix(b",\n    ")
+    opening = f'{{\n  "count": {count},\n  "k": {args.k},\n  "n": {args.n},\n  "partitions": [\n    '
+    _write_files([(args.json, b"".join([opening.encode(), *chunks, b"\n  ]\n}\n"]))])
+    out.write(f"wrote {count} partitions to {args.json}\n")
     return 0
 
 

@@ -90,15 +90,26 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _shown(value):
+    """repr(value) for an error message; an int past the int-to-str digit
+    limit, which repr refuses, is named by its bit length instead."""
+    try:
+        return repr(value)
+    except ValueError:
+        if _is_int(value):
+            return f"<int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} holding an int too long to write out>"
+
+
 def int_tuple(values):
     """values as a tuple of ints; MatrixError for a non-iterable or for
     any element that is not an int (floats and booleans included)."""
     try:
         values = tuple(values)
     except TypeError:
-        raise MatrixError(f"not a sequence of integers: {values!r}") from None
+        raise MatrixError(f"not a sequence of integers: {_shown(values)}") from None
     if not all(_is_int(x) for x in values):
-        raise MatrixError(f"not a sequence of integers: {values!r}")
+        raise MatrixError(f"not a sequence of integers: {_shown(values)}")
     return values
 
 

@@ -7,11 +7,18 @@ test against the pattern.
 """
 
 import math
+from operator import add
 
 from .boolrel import _MAXIMALITY_MAX_N, BoolMatrix, is_rook, nilpotency_index, support_pattern
-from .exactmat import RMatrix, MatrixError, ONE, ZERO, _is_int, int_tuple
+from .exactmat import RMatrix, MatrixError, ONE, ZERO, _is_int, _shown, int_tuple
 
 KINDS = ("omega", "m0", "m0plus")
+
+
+def _require_text(text, what):
+    if not isinstance(text, str):
+        raise MatrixError(f"{what} must be a string, got {type(text).__name__}")
+    return text
 
 
 def _parse_ints(text):
@@ -30,12 +37,12 @@ class LinearOrder:
         seq = int_tuple(seq)
         n = len(seq)
         if n < 1 or sorted(seq) != list(range(1, n + 1)):
-            raise MatrixError(f"not a permutation of 1..{n}: {seq}")
+            raise MatrixError(f"not a permutation of 1..{n}: {_shown(seq)}")
         self.seq = seq
 
     @classmethod
     def parse(cls, text):
-        return cls(_parse_ints(text))
+        return cls(_parse_ints(_require_text(text, "linear order")))
 
     @property
     def n(self):
@@ -63,18 +70,19 @@ class OrderedPartition:
         try:
             blocks = tuple(tuple(sorted(set(int_tuple(b)))) for b in blocks)
         except TypeError:  # blocks itself is not iterable
-            raise MatrixError(f"not a sequence of integers: {blocks!r}") from None
+            raise MatrixError(f"not a sequence of integers: {_shown(blocks)}") from None
         if not blocks or any(not b for b in blocks):
             raise MatrixError("blocks must be nonempty")
         flat = [x for b in blocks for x in b]
         n = len(flat)
         if sorted(flat) != list(range(1, n + 1)):
-            raise MatrixError(f"blocks must partition 1..{n}: {blocks}")
+            raise MatrixError(f"blocks must partition 1..{n}: {_shown(blocks)}")
         self.blocks = blocks
 
     @classmethod
     def parse(cls, text):
         """Parse "1,3|2" into blocks ({1,3}, {2})."""
+        text = _require_text(text, "ordered partition")
         return cls(_parse_ints(part) for part in text.split("|"))
 
     @classmethod
@@ -157,7 +165,7 @@ def membership(a, pattern, kind="omega"):
         raise MatrixError("matrix size must match the pattern size")
     if kind in ("omega", "m0plus") and a.min_entry() < 0:
         return False
-    support = BoolMatrix.from_pairs(a.rows, a.nonzero_positions())
+    support = BoolMatrix._from_pairs(a.rows, a.nonzero_positions())
     if kind in ("m0", "m0plus") and not is_rook(support):
         return False
     return support.is_subset(pattern)
@@ -171,7 +179,7 @@ def _check_block_count(n, k):
             f"n and k must be integers, got {type(n).__name__} and {type(k).__name__}"
         )
     if not (1 <= k <= n):
-        raise MatrixError(f"need 1 <= k <= n, got k={k}, n={n}")
+        raise MatrixError(f"need 1 <= k <= n, got k={_shown(k)}, n={_shown(n)}")
 
 
 def count_max_nilpotent(n, k, max_digits=0):
@@ -193,33 +201,76 @@ def count_max_nilpotent(n, k, max_digits=0):
     return sum((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k))
 
 
+# most tail assignments, k^t, that one call holds: the tail is cut below
+# floor(n/2) elements until they fit, so that the table stays small beside
+# a stream whose memory is otherwise flat; a shorter tail means more heads
+_TAIL_TABLE_MAX = 1024
+
+
+def _assignments(elements, k, spare, blocks=None, mask=0):
+    """Assignments of the elements to k blocks, in the lexicographic order
+    of their block-index vectors, that leave at most spare blocks empty:
+    (blocks, mask of the nonempty blocks) pairs. A partial assignment is
+    dropped as soon as more blocks are empty than spare plus the elements
+    still to place can fill."""
+    if blocks is None:
+        blocks = ((),) * k
+    if not elements:
+        yield blocks, mask
+        return
+    e, rest = elements[0], elements[1:]
+    for b in range(k):
+        used = mask | 1 << b
+        if k - used.bit_count() <= spare + len(rest):
+            placed = blocks[:b] + (blocks[b] + (e,),) + blocks[b + 1 :]
+            yield from _assignments(rest, k, spare, placed, used)
+
+
+def _partition_chunks(n, k, tail_item=None):
+    """The ordered partitions of {1..n} into k blocks, one chunk per head.
+
+    The tail is the assignment of the last t elements, t = floor(n/2) cut
+    down while k^t > _TAIL_TABLE_MAX, and the head that of the first
+    h = n - t. Every head element is smaller than every tail element, so
+    block j of a partition is head block j followed by tail block j, and
+    the canonical order is head-major and tail-minor. Yields (head blocks,
+    tails) in that order, where tails lists tail_item(tail blocks), or the
+    tail blocks themselves, for every tail covering the blocks that the
+    head leaves empty. The tail table is built once per call, and the
+    tails for each set of empty blocks are filtered once."""
+    _check_block_count(n, k)
+    if n > _MAXIMALITY_MAX_N:
+        raise MatrixError(f"partition enumeration limited to n <= {_MAXIMALITY_MAX_N}")
+    t = n // 2
+    while k**t > _TAIL_TABLE_MAX:
+        t -= 1
+    h = n - t
+    masks, items = [], []
+    for blocks, mask in _assignments(range(h + 1, n + 1), k, h):
+        masks.append(mask)
+        items.append(blocks if tail_item is None else tail_item(blocks))
+    full = (1 << k) - 1
+    covering = {}  # empty blocks of a head -> the tails that fill them
+    for head, mask in _assignments(range(1, h + 1), k, t):
+        empty = full & ~mask
+        chunk = covering.get(empty)
+        if chunk is None:
+            chunk = covering[empty] = [
+                item for used, item in zip(masks, items) if used & empty == empty
+            ]
+        yield head, chunk
+
+
 def iter_ordered_partitions(n, k):
     """All ordered partitions of {1..n} into k nonempty blocks.
 
     Canonical order: blocks hold sorted contents and partitions come out
     lexicographically by the vector (block index of 1, ..., block index
     of n)."""
-    _check_block_count(n, k)
-    if n > _MAXIMALITY_MAX_N:
-        raise MatrixError(f"partition enumeration limited to n <= {_MAXIMALITY_MAX_N}")
-
-    # depth-first over (next element, blocks, how many are still empty),
-    # children pushed in reverse so that they pop in order; the last
-    # element is placed inline
-    todo = [(1, ((),) * k, k)]
-    while todo:
-        e, blocks, empty = todo.pop()
-        if e == n:
-            for b in range(k):
-                if empty - (not blocks[b]) <= 0:
-                    yield OrderedPartition._trusted(
-                        blocks[:b] + (blocks[b] + (e,),) + blocks[b + 1 :]
-                    )
-            continue
-        for b in range(k - 1, -1, -1):
-            left = empty - (not blocks[b])
-            if left <= n - e:
-                todo.append((e + 1, blocks[:b] + (blocks[b] + (e,),) + blocks[b + 1 :], left))
+    trusted = OrderedPartition._trusted
+    for head, tails in _partition_chunks(n, k):
+        for tail in tails:
+            yield trusted(tuple(map(add, head, tail)))
 
 
 def enumerate_partitions(n, k):

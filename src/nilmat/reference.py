@@ -176,6 +176,8 @@ def _fmt_census(census):
 
 def verify(name="example1"):
     """Run all checks for a named dataset; (all_ok, checks)."""
+    if not isinstance(name, str):
+        raise MatrixError(f"dataset name must be a string, got {type(name).__name__}")
     if name not in DATASETS:
         raise MatrixError(f"unknown verification dataset: {name!r}")
     checks = run_checks(DATASETS[name])

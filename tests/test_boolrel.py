@@ -297,6 +297,31 @@ def test_malformed_boolmatrix_is_a_matrix_error(n, rows):
         BoolMatrix(n, rows)
 
 
+@pytest.mark.parametrize(
+    "n, pairs",
+    [
+        ("3", []),
+        (3.0, []),
+        (True, [(0, 0)]),
+        (0, []),
+        (3, None),
+        (3, 5),
+        (3, [(1.0, 2)]),
+        (3, [(True, 1)]),
+        (3, [(0, None)]),
+        (3, [5]),
+        (3, [(0, 1, 2)]),
+        (3, [(3, 0)]),
+        (3, [(0, -1)]),
+        (3, [(10**5000, 0)]),
+        (3, [(0.5, 10**5000)]),
+    ],
+)
+def test_malformed_pairs_are_a_matrix_error(n, pairs):
+    with pytest.raises(MatrixError):
+        BoolMatrix.from_pairs(n, pairs)
+
+
 def test_json_round_trip():
     p = bits(3, (1, 3), (2, 3))
     d = p.to_json_dict()

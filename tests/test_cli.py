@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -204,22 +205,32 @@ def test_omega_enumerate_text_and_json(tmp_path, capsys):
 
 
 def test_omega_enumerate_text_streams(monkeypatch):
-    yielded = []
-    enumerate_all = omega.iter_ordered_partitions
-
-    def counted(n, k):
-        for p in enumerate_all(n, k):
-            yielded.append(p)
-            yield p
-
-    # each write notes how many partitions had been made by then
+    # text goes out in many bounded writes, one per head assignment of the
+    # elements 1..ceil(n/2), and their bytes are the pinned ones
     writes = []
-    stdout = SimpleNamespace(write=lambda text: writes.append((text, len(yielded))))
-    monkeypatch.setattr(omega, "iter_ordered_partitions", counted)
-    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
     assert main(["omega", "enumerate", "--n", "8", "--k", "4"]) == 0
-    assert writes[0] == ("1,2,3,4,5|6|7|8\n", 1)
-    assert len(writes) == len(yielded) == 40824
+    assert len(writes) > 1
+    assert max(text.count("\n") for text in writes) <= 4096
+    assert (
+        hashlib.sha256("".join(writes).encode()).hexdigest()
+        == "ecd2061ad908902f894fc9433fa421845fc68985816a48615941ad450fa934bd"
+    )
+
+    # memory stays far below the 3.4 MB that (9, 4) prints
+    argv = ["omega", "enumerate", "--n", "9", "--k", "4"]
+    written = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=lambda text: written.append(len(text))))
+    assert main(argv) == 0  # warm-up: imports and caches
+    written.clear()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(written) == 186480 * len("1,2,3,4,5,6|7|8|9\n")
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize(
@@ -575,6 +586,12 @@ def test_verify_dataset(capsys):
 
     with pytest.raises(MatrixError, match="unknown verification dataset: 'example2'"):
         reference.verify("example2")
+
+
+@pytest.mark.parametrize("name", [["example1"], ("example1",), None, 1], ids=repr)
+def test_verify_refuses_dataset_names_that_are_not_strings(name):
+    with pytest.raises(MatrixError, match=f"dataset name must be a string, got {type(name).__name__}"):
+        reference.verify(name)
 
 
 def test_verify_detects_tampering():

@@ -126,6 +126,36 @@ def test_counts_that_are_not_ints_are_refused(n, k):
         next(iter_ordered_partitions(n, k))
 
 
+@pytest.mark.parametrize(
+    "n, k",
+    [(3, 10**5000), (3, -(10**5000)), (-(10**5000), 2), (10**5000, 10**5000 + 1)],
+    ids=["huge-k", "huge-negative-k", "huge-negative-n", "huge-both"],
+)
+def test_counts_too_long_to_write_out_are_refused_cleanly(n, k):
+    # the message names such an int by its bit length
+    with pytest.raises(MatrixError, match="need 1 <= k <= n, got k=.*bits"):
+        count_max_nilpotent(n, k)
+    with pytest.raises(MatrixError, match="need 1 <= k <= n"):
+        next(iter_ordered_partitions(n, k))
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (LinearOrder.parse, None),
+        (LinearOrder.parse, 5),
+        (LinearOrder.parse, [1, 2]),
+        (OrderedPartition.parse, None),
+        (OrderedPartition.parse, 3),
+        (OrderedPartition.parse, b"1|2"),
+    ],
+    ids=repr,
+)
+def test_parsers_refuse_non_strings(parse, text):
+    with pytest.raises(MatrixError, match=f"must be a string, got {type(text).__name__}"):
+        parse(text)
+
+
 def test_count_digit_limit_refuses_only_counts_longer_than_it():
     refused = 0
     for n in range(1, 41):
@@ -191,6 +221,14 @@ def test_enumeration_matches_the_assignment_oracle():
             assert got == list(assignment_partitions(n, k))
             total += len(got)
     assert total == 52609
+
+
+def test_enumeration_matches_the_assignment_oracle_at_n8():
+    # with the test above, every 1 <= k <= n <= 8: n = 8 splits into heads
+    # and tails of 4 elements each, so a head can leave up to 4 blocks for
+    # its tails to fill
+    for k in range(1, 9):
+        assert enumerate_partitions(8, k) == list(assignment_partitions(8, k))
 
 
 def test_pattern_builders_match_the_pair_oracles():

@@ -6,10 +6,20 @@ whenever bit (i, j) is set. Rows are stored as integer bitmasks, which
 makes composition a handful of bitwise ORs.
 """
 
-from .exactmat import MatrixError, _is_int, _shown, int_tuple
+from .exactmat import MAX_ENTRIES, MatrixError, _is_int, _shown, int_tuple
 
 _CLOSURE_MAX_N = 5
 _MAXIMALITY_MAX_N = 10  # also the bound of omega.iter_ordered_partitions
+
+
+def _size(n, what="BoolMatrix size"):
+    """n checked as the size of a Boolean matrix to build from it: a
+    positive int, not a bool, with at most MAX_ENTRIES bits in all."""
+    if not _is_int(n) or n < 1:
+        raise MatrixError(f"{what} must be a positive integer")
+    if n * n > MAX_ENTRIES:
+        raise MatrixError(f"Boolean matrices are limited to {MAX_ENTRIES} entries")
+    return n
 
 
 class BoolMatrix:
@@ -28,17 +38,18 @@ class BoolMatrix:
 
     @classmethod
     def empty(cls, n):
+        n = _size(n)
         return cls(n, (0,) * n)
 
     @classmethod
     def full(cls, n):
+        n = _size(n)
         return cls(n, ((1 << n) - 1,) * n)
 
     @classmethod
     def from_pairs(cls, n, pairs):
         """Build from 0-based (i, j) pairs of ints."""
-        if not _is_int(n) or n < 1:
-            raise MatrixError("BoolMatrix size must be a positive integer")
+        n = _size(n)
         try:
             pairs = list(pairs)
         except TypeError:
@@ -116,18 +127,16 @@ class BoolMatrix:
     def from_json_dict(cls, obj):
         if not isinstance(obj, dict) or "n" not in obj or "bits" not in obj:
             raise MatrixError('pattern JSON must be {"n": ..., "bits": [[i, j], ...]}')
-        n = obj["n"]
-        if not _is_int(n) or n < 1:
-            raise MatrixError("pattern size must be a positive integer")
+        n = _size(obj["n"], "pattern size")
         if not isinstance(obj["bits"], list):
             raise MatrixError('pattern JSON must be {"n": ..., "bits": [[i, j], ...]}')
         pairs = []
         for pair in obj["bits"]:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(_is_int, pair)):
-                raise MatrixError(f"bad bit entry: {pair!r}")
+                raise MatrixError(f"bad bit entry: {_shown(pair)}")
             i, j = pair
             if not (1 <= i <= n and 1 <= j <= n):
-                raise MatrixError(f"bit ({i}, {j}) out of range for size {n}")
+                raise MatrixError(f"bit ({_shown(i)}, {_shown(j)}) out of range for size {n}")
             pairs.append((i - 1, j - 1))
         return cls._from_pairs(n, pairs)
 

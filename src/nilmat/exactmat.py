@@ -90,11 +90,11 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _shown(value):
-    """repr(value) for an error message; an int past the int-to-str digit
-    limit, which repr refuses, is named by its bit length instead."""
+def _shown(value, show=repr):
+    """show(value) for an error message; an int past the int-to-str digit
+    limit, which repr and str refuse, is named by its bit length instead."""
     try:
-        return repr(value)
+        return show(value)
     except ValueError:
         if _is_int(value):
             return f"<int of {value.bit_length()} bits>"
@@ -204,6 +204,13 @@ class RMatrix:
     __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, rows_of_entries):
+        try:
+            rows_of_entries = list(rows_of_entries)
+        except TypeError:
+            raise MatrixError(f"not a sequence of matrix rows: {_shown(rows_of_entries)}") from None
+        # a string or a dict would iterate as characters or keys
+        if not all(isinstance(row, (tuple, list)) for row in rows_of_entries):
+            raise MatrixError("each matrix row must be a tuple or list")
         _normalised(*_ingested(rows_of_entries), self)
 
     @classmethod

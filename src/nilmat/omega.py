@@ -190,6 +190,8 @@ def count_max_nilpotent(n, k, max_digits=0):
     A positive max_digits refuses, before any big-integer work, an (n, k)
     whose count surely has more decimal digits than that."""
     _check_block_count(n, k)
+    if not _is_int(max_digits) or max_digits < 0:
+        raise MatrixError("max_digits must be a nonnegative integer")
     # the count is at least k!·k^(n-k) (the first k elements go onto the
     # blocks bijectively, the rest anywhere), so at least 2^bits with bits
     # the sum of floor(log2 i) over i <= k plus (n - k)·floor(log2 k)

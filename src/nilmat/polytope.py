@@ -10,8 +10,7 @@ mesh export writes decimal approximations.
 """
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import mul
@@ -24,6 +23,7 @@ from .exactmat import (
     _is_int,
     _rational,
     _reduce,
+    _shown,
     _size,
     format_rational,
     parse_rational,
@@ -35,12 +35,12 @@ MAX_DIMENSION = 6
 MAX_INEQUALITIES = 40
 
 
-@dataclass(frozen=True)
-class LinearInequality:
+# a named tuple rather than a frozen dataclass: the dataclasses module
+# imports inspect, which would double the start-up time of every CLI call
+class LinearInequality(namedtuple("LinearInequality", "constant coeffs")):
     """constant + coeffs . x >= 0."""
 
-    constant: Fraction
-    coeffs: tuple
+    __slots__ = ()
 
     def evaluate(self, point):
         return _dot(self.coeffs, point, self.constant)
@@ -72,7 +72,7 @@ class HPolytope:
         rows = set()
         for iq in inequalities:
             if not isinstance(iq, LinearInequality):
-                raise MatrixError(f"not a LinearInequality: {iq!r}")
+                raise MatrixError(f"not a LinearInequality: {_shown(iq)}")
             # a string or a dict would iterate as characters or keys
             if not isinstance(iq.coeffs, (tuple, list)) or len(iq.coeffs) != d:
                 raise MatrixError("inequality arity does not match the dimension")
@@ -444,7 +444,7 @@ def polytope_from_json_dict(obj):
     for item in raw_ineqs:
         coeffs = item.get("coeffs") if isinstance(item, dict) else None
         if not isinstance(coeffs, list) or "constant" not in item:
-            raise MatrixError(f"bad inequality entry: {item!r}")
+            raise MatrixError(f"bad inequality entry: {_shown(item)}")
         constant = parse_rational(item["constant"])
         ineqs.append(LinearInequality(constant, tuple(parse_rational(c) for c in coeffs)))
     if any(not isinstance(p, list) for p in raw_vertices):

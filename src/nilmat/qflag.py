@@ -22,6 +22,7 @@ from .exactmat import (
     ZERO,
     _normalised,
     _rational,
+    _shown,
     _size,
     int_tuple,
 )
@@ -110,9 +111,7 @@ class FlagFrame:
             or any(a >= b for a, b in zip(dims, dims[1:]))
             or dims[-1] != n - 1
         ):
-            raise MatrixError(
-                f"dims must increase strictly to {n - 1}, got {dims}"
-            )
+            raise MatrixError(f"dims must increase strictly to {n - 1}, got {_shown(dims)}")
         self.f = f
         self.f_inv = f_inv
         self.dims = dims
@@ -311,8 +310,9 @@ def make_stochastic_nilpotent(frame, b, alpha=None):
     else:
         lo, hi = stochastic_scaling_range(a)
         if not lo <= alpha <= hi:
+            bounds = ", ".join(_shown(x, str) for x in (lo, hi))
             raise MatrixError(
-                f"alpha {alpha} outside the stochastic scaling range [{lo}, {hi}]"
+                f"alpha {_shown(alpha, str)} outside the stochastic scaling range [{bounds}]"
             )
     result = scale_toward_zero(a, alpha)
     assert is_doubly_stochastic(result)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -20,7 +21,7 @@ from nilmat.boolrel import (
     nilpotency_index,
     support_pattern,
 )
-from nilmat.exactmat import RMatrix, MatrixError
+from nilmat.exactmat import MAX_ENTRIES, RMatrix, MatrixError
 from nilmat.omega import (
     LinearOrder,
     OrderedPartition,
@@ -320,6 +321,33 @@ def test_malformed_boolmatrix_is_a_matrix_error(n, rows):
 def test_malformed_pairs_are_a_matrix_error(n, pairs):
     with pytest.raises(MatrixError):
         BoolMatrix.from_pairs(n, pairs)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [10**20, 10**5000, 1001, "3", None, 1.0, True, 0, -1],
+    ids=["1e20", "1e5000", "1001", "str", "None", "float", "bool", "0", "-1"],
+)
+@pytest.mark.parametrize(
+    "build",
+    [
+        BoolMatrix.empty,
+        BoolMatrix.full,
+        lambda n: BoolMatrix.from_pairs(n, []),
+        lambda n: BoolMatrix.from_json_dict({"n": n, "bits": []}),
+    ],
+    ids=["empty", "full", "from_pairs", "from_json_dict"],
+)
+def test_sizes_are_checked_before_any_row_is_built(build, n):
+    with pytest.raises(MatrixError):
+        build(n)
+
+
+def test_sizes_up_to_the_limit_are_built():
+    # n * n <= MAX_ENTRIES, as for RMatrix's sized constructors
+    n = math.isqrt(MAX_ENTRIES)
+    assert BoolMatrix.full(n).bit_count() == MAX_ENTRIES
+    assert BoolMatrix.from_json_dict({"n": n, "bits": [[1, n]]}).bits() == [(0, n - 1)]
 
 
 def test_json_round_trip():

@@ -323,6 +323,39 @@ def test_omega_member(tmp_path, capsys):
         assert code == 1 and out == "" and "error:" in err
 
 
+def test_omega_member_refuses_an_oversized_pattern_at_once(tmp_path, capsys):
+    pattern = write_json(tmp_path / "pattern.json", {"n": 10**20, "bits": []})
+    matrix = write_matrix(tmp_path / "a.json", RMatrix([[0]]))
+    code, out, err = run(
+        capsys, "omega", "member", "--pattern", pattern, "--matrix", matrix, "--kind", "omega"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("module", ["nilmat.cli", "nilmat"])
+def test_import_loads_no_introspection_modules(module):
+    """`import nilmat.cli` runs before every command; dataclasses pulls in
+    inspect, ast, dis and tokenize, about half of that start-up time. The
+    modules are counted as the difference of sys.modules around the import,
+    so that a site hook preloading one of them does not matter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilmat.__file__)))
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "before = set(sys.modules)\n"
+        f"import {module}\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-I", "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    loaded = set(fresh.stdout.split())
+    assert f"{module}" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+
+
 def test_nilcheck_ambients(tmp_path, capsys):
     upper = write_matrix(tmp_path / "u.json", RMatrix([[0, 1], [0, 0]]))
     code, out, _ = run(capsys, "nilcheck", "--matrix", upper, "--ambient", "omega")

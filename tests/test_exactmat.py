@@ -71,6 +71,30 @@ def test_constructor_rejects_floats_and_ragged():
         RMatrix([])
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        None,
+        5,
+        1.5,
+        [1, 2],
+        ["12", "34"],
+        [{1: 0, 2: 0}, {3: 0, 4: 0}],
+        [[1, 2], "34"],
+        [[1], 10**5000],
+    ],
+)
+def test_constructor_refuses_what_is_not_a_list_of_rows(rows):
+    with pytest.raises(MatrixError):
+        RMatrix(rows)
+
+
+def test_constructor_takes_tuples_and_iterables_of_rows():
+    expected = RMatrix([[1, 2], [3, 4]])
+    assert RMatrix(((1, 2), (3, 4))) == expected
+    assert RMatrix(row for row in [[1, 2], (3, 4)]) == expected
+
+
 def test_identity_multiplication_is_neutral():
     r = rng(1)
     x = rand_matrix(r, 3, 5)

@@ -156,6 +156,12 @@ def test_parsers_refuse_non_strings(parse, text):
         parse(text)
 
 
+@pytest.mark.parametrize("max_digits", [-1, "x", [1], 1.5, True, None])
+def test_count_digit_limit_must_be_a_nonnegative_int(max_digits):
+    with pytest.raises(MatrixError, match="max_digits"):
+        count_max_nilpotent(4, 2, max_digits)
+
+
 def test_count_digit_limit_refuses_only_counts_longer_than_it():
     refused = 0
     for n in range(1, 41):

@@ -58,6 +58,27 @@ def test_canonicalization_scales_to_coprime_integers():
     assert c == (1, 2, 0, 0)
 
 
+def test_linear_inequality_keeps_its_value_semantics():
+    """LinearInequality is a named tuple subclass, no longer a frozen
+    dataclass; repr, equality, hashing and immutability stay as they were."""
+    a = ineq(1, F(1, 2), -3)
+    assert repr(a) == (
+        "LinearInequality(constant=Fraction(1, 1), coeffs=(Fraction(1, 2), Fraction(-3, 1)))"
+    )
+    assert a == ineq(1, F(1, 2), -3) and hash(a) == hash(ineq(1, F(1, 2), -3))
+    assert a != ineq(2, F(1, 2), -3)
+    assert (a.constant, a.coeffs) == (F(1), (F(1, 2), F(-3)))
+    assert a.key() == (F(1), F(1, 2), F(-3)) and a.evaluate((2, 0)) == 2
+    with pytest.raises(AttributeError):
+        a.constant = F(2)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    # new with the named tuple: the value is a tuple
+    assert a == (F(1), (F(1, 2), F(-3)))
+    with pytest.raises(MatrixError, match="not a LinearInequality"):
+        HPolytope(2, [tuple(a)])
+
+
 def test_hpolytope_deduplicates():
     h = HPolytope(2, [ineq(1, 2, 0), ineq(F(1, 2), 1, 0), ineq(1, 0, 1)])
     assert len(h.inequalities) == 2

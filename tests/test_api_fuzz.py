@@ -258,21 +258,24 @@ def test_public_calls_return_or_raise_matrix_error(name, data):
         pass
 
 
-HUGE = 10**5000
+# past the int-to-str limit of 4,300 digits, so repr and str refuse it
+TOO_LONG = 10**5000
+
+
+def _scaled(alpha):
+    return make_stochastic_nilpotent(FlagFrame.standard(3), RMatrix([[0, 1], [0, 0]]), alpha)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: HPolytope(1, [HUGE]),
-        lambda: polytope_from_json_dict({"d": 1, "inequalities": [HUGE], "vertices": []}),
-        lambda: FlagFrame.standard(3, [1, HUGE]),
-        lambda: BoolMatrix.from_json_dict({"n": 2, "bits": [[HUGE, 1]]}),
-        lambda: BoolMatrix.from_json_dict({"n": 2, "bits": [[HUGE]]}),
-        lambda: make_stochastic_nilpotent(FlagFrame.standard(3), RMatrix([[0, 1], [0, 0]]), HUGE),
-        lambda: make_stochastic_nilpotent(
-            FlagFrame.standard(3), RMatrix([[0, 1], [0, 0]]), Fraction(HUGE, 3)
-        ),
+        lambda: HPolytope(1, [TOO_LONG]),
+        lambda: polytope_from_json_dict({"d": 1, "inequalities": [TOO_LONG], "vertices": []}),
+        lambda: FlagFrame.standard(3, [1, TOO_LONG]),
+        lambda: BoolMatrix.from_json_dict({"n": 2, "bits": [[TOO_LONG, 1]]}),
+        lambda: BoolMatrix.from_json_dict({"n": 2, "bits": [[TOO_LONG]]}),
+        lambda: _scaled(TOO_LONG),
+        lambda: _scaled(Fraction(TOO_LONG, 3)),
     ],
     ids=[
         "HPolytope",

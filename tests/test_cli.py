@@ -352,7 +352,7 @@ def test_import_loads_no_introspection_modules(module):
     )
     assert fresh.returncode == 0, fresh.stderr
     loaded = set(fresh.stdout.split())
-    assert f"{module}" in loaded
+    assert module in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
 
 

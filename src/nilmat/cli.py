@@ -11,7 +11,7 @@ import functools
 import json
 import os
 import sys
-from itertools import starmap
+from itertools import chain
 
 from . import boolrel, omega, polytope, qflag, reference
 from .exactmat import MatrixError, RMatrix, format_rational, parse_rational
@@ -30,23 +30,27 @@ def _load_json(path):
 
 
 def _write_files(exports):
-    """Write every (path, bytes) export, replacing no target until all are
-    written: each goes to a temporary sibling first, created with "x" so
-    that its permissions follow the umask."""
+    """Write every (path, data) export, where data is bytes or an iterable
+    of byte chunks, replacing no target until all are written: each goes to
+    a temporary sibling first, created with "x" so that its permissions
+    follow the umask. Any error, one raised by a chunk iterator included,
+    removes every temporary and leaves every target as it was."""
     staged = []
     try:
         for k, (path, data) in enumerate(exports):
             temp = f"{path}.{os.getpid()}-{k}.tmp"
             with open(temp, "xb") as fh:
                 staged.append(temp)
-                fh.write(data)
+                fh.writelines([data] if isinstance(data, bytes) else data)
         for temp, (path, _) in zip(staged, exports):
             os.replace(temp, path)
-    except OSError as exc:
+    except BaseException as exc:
         for temp in staged:
             with contextlib.suppress(OSError):
                 os.remove(temp)
-        raise MatrixError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        if isinstance(exc, OSError):
+            raise MatrixError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
 
 
 def _read_matrix(path):
@@ -101,39 +105,53 @@ _JSON_LAYOUT = (",\n        ", "[\n        ", "\n      ]", ",\n      ", "[\n    
 def _rendered_chunks(n, k, layout):
     """(count, text) of each head's chunk of partitions, in order.
 
-    Each tail is rendered once as 2k texts: its block j plain, then block j
-    after the element separator (empty for an empty block). Each head
-    becomes one str.format template whose block j is the head's text
-    followed by the separated tail field, or the plain tail field where the
-    head leaves block j empty; that template is itself formatted from one
-    per set of blocks the head fills. Block texts hold only digits,
-    brackets, commas, spaces and newlines, so no brace needs escaping."""
+    Each tail is rendered once as 2k closed texts: its block j plain, then
+    block j after the element separator (empty for an empty block), each
+    followed by the text that closes block j. Equal texts are one string,
+    shared by every tail. For each set of blocks that a head fills, one list
+    picks, per tail and block, the plain text where the head leaves the
+    block empty and the separated one where it fills it, and leaves a slot
+    before each for the head's opening text. A head's chunk is its k opening
+    texts written into those slots by one slice assignment and one join, so
+    no Python call runs per line."""
     sep, block_open, block_close, block_sep, line_open, line_close = layout
+    closers = [block_close + block_sep] * (k - 1) + [block_close + line_close]
     plain_text = functools.cache(lambda block: sep.join(map(str, block)))
-
-    @functools.cache
-    def block_texts(block):
-        plain = plain_text(block)
-        return plain, sep + plain if plain else ""
+    closed = functools.cache(lambda text, j: text + closers[j])
 
     def tail_texts(blocks):
-        # list() first, here and below: a tuple built straight from a map is
-        # resized, which strands a spare tuple in the interpreter's free list
-        plain, after = zip(*list(map(block_texts, blocks)))
-        return plain + after
+        plain = list(map(plain_text, blocks))
+        after = [sep + text if text else "" for text in plain]
+        return [*map(closed, plain, range(k)), *map(closed, after, range(k))]
 
-    @functools.cache
-    def head_template(*filled):
-        # takes a head's plain block texts to its line template: the tail
-        # fields stay escaped until then
-        return line_open + block_sep.join(
-            block_open + (f"{{{j}}}{{{{{k + j}}}}}" if f else f"{{{{{j}}}}}") + block_close
-            for j, f in enumerate(filled)
-        ) + line_close
-
+    chunk_parts = {}  # the blocks a head fills -> its chunk's parts, openings unset
     for head, tails in omega._partition_chunks(n, k, tail_texts):
-        template = head_template(*list(map(bool, head))).format(*list(map(plain_text, head)))
-        yield len(tails), "".join(starmap(template.format, tails))
+        # a bytes key: a tuple built straight from a map is resized, which
+        # strands a spare tuple in the interpreter's free list once per head
+        filled = bytes(map(bool, head))
+        parts = chunk_parts.get(filled)
+        if parts is None:
+            picks = [j + k * f for j, f in enumerate(filled)]
+            parts = chunk_parts[filled] = [None] * (2 * k * len(tails))
+            parts[1::2] = [texts[i] for texts in tails for i in picks]
+        opening = [block_open + text for text in map(plain_text, head)]
+        opening[0] = line_open + opening[0]
+        parts[0::2] = opening * len(tails)
+        yield len(tails), "".join(parts)
+
+
+def _json_chunks(n, k, count, rendered):
+    """The --json document as byte chunks, from the rendered (size, text)
+    head chunks: each is held until the next has come, so that the last
+    one alone drops its trailing item separator. The partitions written
+    must number count, which the document names first."""
+    held = f'{{\n  "count": {count},\n  "k": {k},\n  "n": {n},\n  "partitions": [\n    '
+    written = 0
+    for size, text in rendered:
+        yield held.encode()
+        held, written = text, written + size
+    assert written == count, f"wrote {written} partitions, counted {count}"
+    yield (held.removesuffix(",\n    ") + "\n  ]\n}\n").encode()
 
 
 def _cmd_omega_enumerate(args, out):
@@ -142,13 +160,12 @@ def _cmd_omega_enumerate(args, out):
         for _, text in _rendered_chunks(args.n, args.k, _TEXT_LAYOUT):
             out.write(text)
         return 0
-    count, chunks = 0, []
-    for size, text in _rendered_chunks(args.n, args.k, _JSON_LAYOUT):
-        count += size
-        chunks.append(text.encode())
-    chunks[-1] = chunks[-1].removesuffix(b",\n    ")
-    opening = f'{{\n  "count": {count},\n  "k": {args.k},\n  "n": {args.n},\n  "partitions": [\n    '
-    _write_files([(args.json, b"".join([opening.encode(), *chunks, b"\n  ]\n}\n"]))])
+    # streamed too; the first chunk is rendered before anything else, so
+    # that n and k meet the enumerator's checks before the count and the file
+    rendered = _rendered_chunks(args.n, args.k, _JSON_LAYOUT)
+    first = next(rendered)
+    count = omega.count_max_nilpotent(args.n, args.k)
+    _write_files([(args.json, _json_chunks(args.n, args.k, count, chain([first], rendered)))])
     out.write(f"wrote {count} partitions to {args.json}\n")
     return 0
 

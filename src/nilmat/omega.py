@@ -14,6 +14,13 @@ from .exactmat import RMatrix, MatrixError, ONE, ZERO, _is_int, _shown, int_tupl
 
 KINDS = ("omega", "m0", "m0plus")
 
+# most work count_max_nilpotent takes on: the count's bit size, at most
+# n·bit_length(k - 1) as the count is below k^n, times its k terms. Every
+# (n, k) that passes the digit check at Python's default 4,300 digits stays
+# below it (the largest, n = k = 1632, needs 29,297,664), and the costliest
+# (n, k) it lets through, k = 3, took 1.2 s on a 2-vCPU Xeon VM
+MAX_COUNT_WORK = 2**25
+
 
 def _require_text(text, what):
     if not isinstance(text, str):
@@ -188,7 +195,9 @@ def count_max_nilpotent(n, k, max_digits=0):
     inclusion-exclusion. k = n gives n!.
 
     A positive max_digits refuses, before any big-integer work, an (n, k)
-    whose count surely has more decimal digits than that."""
+    whose count surely has more decimal digits than that. Whatever
+    max_digits is, an (n, k) whose work bound exceeds MAX_COUNT_WORK is
+    refused too, after that check."""
     _check_block_count(n, k)
     if not _is_int(max_digits) or max_digits < 0:
         raise MatrixError("max_digits must be a nonnegative integer")
@@ -200,6 +209,8 @@ def count_max_nilpotent(n, k, max_digits=0):
     # 2^bits >= 10^max_digits, as log2(10) < 3.322
     if max_digits and bits * 1000 >= max_digits * 3322:
         raise MatrixError("number has too many digits to write out")
+    if n * (k - 1).bit_length() * k > MAX_COUNT_WORK:
+        raise MatrixError(f"count limited to n * bit_length(k - 1) * k <= {MAX_COUNT_WORK}")
     return sum((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k))
 
 

@@ -162,14 +162,6 @@ def _hpolytope(d, rows):
     return HPolytope(d, rows)
 
 
-def _count(n, k, max_digits):
-    # the library call has no size limit of its own, so n stays below
-    # 3,000, as in the CLI fuzzer
-    if isinstance(n, int) and n >= 3000:
-        return None
-    return count_max_nilpotent(n, k, max_digits)
-
-
 def _frame_docs():
     frames = [FlagFrame.standard(n) for n in (2, 3, 4, 5)]
     frames += [FlagFrame.standard(4, dims=[2, 3]), reference.reference_frame(which="frame-b")]
@@ -215,7 +207,13 @@ CALLS = {
         NONE,
         args(st.sampled_from(["1,3|2", "1|2|3", "2,1"])),
     ),
-    "count_max_nilpotent": (_count, NONE, args(st.integers(1, 60), small, st.integers(0, 50))),
+    # a huge n meets the digit check, or with max_digits 0 MAX_COUNT_WORK,
+    # before any big-integer work
+    "count_max_nilpotent": (
+        count_max_nilpotent,
+        NONE,
+        args(st.integers(1, 60), small, st.integers(0, 50)),
+    ),
     "iter_ordered_partitions": (iter_ordered_partitions, NONE, args(small, small)),
     "FlagFrame.standard": (
         FlagFrame.standard,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -580,6 +581,78 @@ def test_omega_enumerate_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         hashlib.sha256((tmp_path / "p.json").read_bytes()).hexdigest()
         == "8899f7c7772aafb6a1910a5f602f5dd7aaef63be618221b0512b214e2e309809"
     )
+
+
+# sha256 over every text output with 1 <= k <= n <= 8, in order of n then
+# k, followed by the --json files for n = 8 and k = 2, 4, 7; pinned from
+# the renderer that formatted one str.format template per line
+def test_omega_enumerate_bytes_are_pinned_over_a_wide_range(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    every = hashlib.sha256()
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            code, out, _ = run(capsys, "omega", "enumerate", "--n", str(n), "--k", str(k))
+            assert code == 0
+            every.update(out.encode())
+    for k in (2, 4, 7):
+        argv = ["omega", "enumerate", "--n", "8", "--k", str(k), "--json", "p.json"]
+        assert run(capsys, *argv)[0] == 0
+        every.update((tmp_path / "p.json").read_bytes())
+    assert every.hexdigest() == "2ef2a8284388994412ab4be5a5d340788e2c174f545f8dd56b243e578f5253c7"
+
+
+def test_omega_enumerate_json_streams(tmp_path, monkeypatch, capsys):
+    # the document goes to the file a head chunk at a time, so memory stays
+    # far below the 6.7 MB that (8, 4) writes
+    monkeypatch.chdir(tmp_path)
+    argv = ["omega", "enumerate", "--n", "8", "--k", "4", "--json", "p.json"]
+    assert main(argv) == 0  # warm-up: imports and caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "wrote 40824 partitions to p.json\n" * 2
+    assert (tmp_path / "p.json").stat().st_size == 6695199
+    assert peak < 1_000_000
+
+
+def test_a_failing_chunk_stream_leaves_every_target_as_it_was(tmp_path):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first.write_bytes(b"old a")
+    second.write_bytes(b"old b")
+
+    def chunks(error):
+        yield b"new "
+        yield b"b, half"
+        raise error
+
+    exports = [(str(first), b"new a"), (str(second), chunks(RuntimeError("mid-way")))]
+    with pytest.raises(RuntimeError, match="mid-way"):
+        cli._write_files(exports)
+    exports = [(str(first), b"new a"), (str(second), chunks(OSError(28, "No space left")))]
+    message = f"^cannot write {re.escape(str(second))}: No space left$"
+    with pytest.raises(MatrixError, match=message):
+        cli._write_files(exports)
+    assert (first.read_bytes(), second.read_bytes()) == (b"old a", b"old b")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+
+    cli._write_files([(str(first), b"new a"), (str(second), iter([b"new ", b"b"]))])
+    assert (first.read_bytes(), second.read_bytes()) == (b"new a", b"new b")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+
+
+def test_omega_enumerate_json_count_is_cross_checked(tmp_path, monkeypatch):
+    # a count that disagrees with the partitions written stops the stream,
+    # and the existing file stays as it was
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.json").write_bytes(b"old")
+    monkeypatch.setattr(omega, "count_max_nilpotent", lambda n, k: 35)
+    with pytest.raises(AssertionError, match="wrote 36 partitions, counted 35"):
+        main(["omega", "enumerate", "--n", "4", "--k", "3", "--json", "p.json"])
+    assert (tmp_path / "p.json").read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["p.json"]
 
 
 def test_omega_enumerate_matches_json_dumps_and_the_oracle(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -8,6 +9,7 @@ from conftest import rng, rand_matrix, rand_pattern_supported
 from nilmat.boolrel import BoolMatrix
 from nilmat.exactmat import RMatrix, MatrixError
 from nilmat.omega import (
+    MAX_COUNT_WORK,
     LinearOrder,
     OrderedPartition,
     count_max_nilpotent,
@@ -179,6 +181,21 @@ def test_count_digit_limit_refuses_only_counts_longer_than_it():
     assert count_max_nilpotent(15000, 2, 0) == 2**15000 - 2
     with pytest.raises(MatrixError, match="need 1 <= k <= n"):
         count_max_nilpotent(3, 9, 1)
+
+
+@pytest.mark.parametrize("n, k", [(10**20, 2), (100000, 50000)])
+def test_count_work_limit_refuses_at_once(n, k):
+    start = time.perf_counter()
+    with pytest.raises(MatrixError, match=f"^count limited to .* <= {MAX_COUNT_WORK}$"):
+        count_max_nilpotent(n, k, 0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_count_work_limit_passes_what_the_digit_check_passes():
+    # the (n, k) with the largest work bound that the check at Python's
+    # default 4,300 digits lets through, and a count whose bound is 0
+    assert count_max_nilpotent(1632, 1632, 4300) == math.factorial(1632)
+    assert count_max_nilpotent(10**30, 1) == 1
 
 
 def test_enumeration_canonical_order():

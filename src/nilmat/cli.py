@@ -8,16 +8,21 @@ errors exit with status 1, usage errors with status 2.
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
 from itertools import chain
 
-from . import boolrel, omega, polytope, qflag, reference
+# json is imported where it is used, and omega, polytope, qflag and
+# reference by the fills of the commands whose handlers use them, so that
+# start-up loads only what the chosen command needs; a handler runs only
+# after its command's fill, which binds the module names it reads
+from . import boolrel
 from .exactmat import MatrixError, RMatrix, format_rational, parse_rational
 
 
 def _load_json(path):
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -66,6 +71,8 @@ def _read_pattern(path):
 
 
 def _dump(obj):
+    import json
+
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -273,7 +280,34 @@ def _usage_checked(parse):
     return convert
 
 
+class _LazySubcommands(argparse._SubParsersAction):
+    """Subcommands whose parsers get their arguments on first use: add_parser
+    takes a fill function, which runs on the command's parser the first time
+    the command is chosen, so that a command line fills only the parsers it
+    names."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fills = {}
+
+    def add_parser(self, name, *, fill, **kwargs):
+        self._fills[name] = fill
+        return super().add_parser(name, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        fill = self._fills.pop(values[0], None)
+        if fill is not None:
+            fill(self._name_parser_map[values[0]])
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _subcommands(parser, dest):
+    return parser.add_subparsers(dest=dest, required=True, action=_LazySubcommands)
+
+
 def build_parser():
+    """The root parser and its five commands. A command's arguments, and the
+    subcommands of omega, q and polytope, are added when it is first chosen."""
     parser = argparse.ArgumentParser(
         prog="nilmat",
         description=(
@@ -281,9 +315,23 @@ def build_parser():
             "doubly stochastic matrix semigroups."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = _subcommands(parser, "command")
+    sub.add_parser(
+        "nilcheck", fill=_fill_nilcheck, help="nilpotency class of a matrix in a chosen ambient"
+    )
+    sub.add_parser("omega", fill=_fill_omega, help="patterns and counts in the nonnegative ambient")
+    sub.add_parser("q", fill=_fill_q, help="the unit row/column sum ambient")
+    sub.add_parser(
+        "polytope", fill=_fill_polytope, help="doubly stochastic polytopes of complete flags"
+    )
+    sub.add_parser("verify", fill=_fill_verify, help="recompute a bundled dataset and diff")
+    return parser
 
-    p = sub.add_parser("nilcheck", help="nilpotency class of a matrix in a chosen ambient")
+
+def _fill_nilcheck(p):
+    global omega, qflag
+    from . import omega, qflag
+
     p.add_argument("--matrix", required=True)
     p.add_argument(
         "--ambient",
@@ -293,21 +341,40 @@ def build_parser():
     )
     p.set_defaults(func=_cmd_nilcheck)
 
-    og = sub.add_parser("omega", help="patterns and counts in the nonnegative ambient")
-    osub = og.add_subparsers(dest="subcommand", required=True)
 
-    p = osub.add_parser("count", help="number of maximal nilpotent subsemigroups of class k")
+def _fill_omega(p):
+    global omega
+    from . import omega
+
+    sub = _subcommands(p, "subcommand")
+    sub.add_parser(
+        "count", fill=_fill_omega_count, help="number of maximal nilpotent subsemigroups of class k"
+    )
+    sub.add_parser(
+        "enumerate", fill=_fill_omega_enumerate, help="ordered partitions of {1..n} into k blocks"
+    )
+    sub.add_parser(
+        "pattern", fill=_fill_omega_pattern, help="support pattern of an order or ordered partition"
+    )
+    sub.add_parser(
+        "member", fill=_fill_omega_member, help="membership of a matrix in a pattern subsemigroup"
+    )
+
+
+def _fill_omega_count(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=_cmd_omega_count)
 
-    p = osub.add_parser("enumerate", help="ordered partitions of {1..n} into k blocks")
+
+def _fill_omega_enumerate(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--json", help="write a JSON file instead of text lines")
     p.set_defaults(func=_cmd_omega_enumerate)
 
-    p = osub.add_parser("pattern", help="support pattern of an order or ordered partition")
+
+def _fill_omega_pattern(p):
     p.add_argument(
         "--order", type=_usage_checked(omega.LinearOrder.parse), help='linear order like "2,3,1"'
     )
@@ -318,32 +385,53 @@ def build_parser():
     )
     p.set_defaults(func=_cmd_omega_pattern)
 
-    p = osub.add_parser("member", help="membership of a matrix in a pattern subsemigroup")
+
+def _fill_omega_member(p):
     p.add_argument("--pattern", required=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--kind", required=True, choices=list(omega.KINDS))
     p.set_defaults(func=_cmd_omega_member)
 
-    qg = sub.add_parser("q", help="the unit row/column sum ambient")
-    qsub = qg.add_subparsers(dest="subcommand", required=True)
 
-    p = qsub.add_parser("iso", help="reduce by a frame, or embed with --inverse")
+def _fill_q(p):
+    global qflag
+    from . import qflag
+
+    sub = _subcommands(p, "subcommand")
+    sub.add_parser("iso", fill=_fill_q_iso, help="reduce by a frame, or embed with --inverse")
+    sub.add_parser(
+        "member", fill=_fill_q_member, help="membership in a flag's nilpotent subsemigroup"
+    )
+    sub.add_parser(
+        "nilclass", fill=_fill_q_nilclass, help="nilpotency class relative to the flat matrix"
+    )
+    sub.add_parser(
+        "make-nilpotent",
+        fill=_fill_q_make_nilpotent,
+        help="doubly stochastic nilpotent from a reduced matrix",
+    )
+
+
+def _fill_q_iso(p):
     p.add_argument("--frame", required=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--inverse", action="store_true")
     p.set_defaults(func=_cmd_q_iso)
 
-    p = qsub.add_parser("member", help="membership in a flag's nilpotent subsemigroup")
+
+def _fill_q_member(p):
     p.add_argument("--frame", required=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--doubly-stochastic", action="store_true")
     p.set_defaults(func=_cmd_q_member)
 
-    p = qsub.add_parser("nilclass", help="nilpotency class relative to the flat matrix")
+
+def _fill_q_nilclass(p):
     p.add_argument("--matrix", required=True)
     p.set_defaults(func=_cmd_nilcheck, ambient="q")
 
-    p = qsub.add_parser("make-nilpotent", help="doubly stochastic nilpotent from a reduced matrix")
+
+def _fill_q_make_nilpotent(p):
     p.add_argument("--frame", required=True)
     p.add_argument("--b", required=True)
     p.add_argument(
@@ -351,22 +439,32 @@ def build_parser():
     )
     p.set_defaults(func=_cmd_q_make_nilpotent)
 
-    pg = sub.add_parser("polytope", help="doubly stochastic polytopes of complete flags")
-    psub = pg.add_subparsers(dest="subcommand", required=True)
 
-    p = psub.add_parser("build", help="inequalities, vertices, census, exports")
+def _fill_polytope(p):
+    global polytope, qflag
+    from . import polytope, qflag
+
+    sub = _subcommands(p, "subcommand")
+    sub.add_parser(
+        "build", fill=_fill_polytope_build, help="inequalities, vertices, census, exports"
+    )
+
+
+def _fill_polytope_build(p):
     p.add_argument("--frame", required=True)
     p.add_argument("--out", help="write exact JSON here")
     p.add_argument("--off", help="write an approximate OFF mesh here")
     p.add_argument("--census", action="store_true")
     p.set_defaults(func=_cmd_polytope_build)
 
-    p = sub.add_parser("verify", help="recompute a bundled dataset and diff")
+
+def _fill_verify(p):
+    global reference
+    from . import reference
+
     p.add_argument("dataset", choices=sorted(reference.DATASETS))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
-
-    return parser
 
 
 @functools.cache

@@ -291,11 +291,14 @@ def _run_double_description(h):
                 g = math.gcd(*w)
                 kept.append((tuple(x // g for x in w), common | bit))
         rays = kept
-    # x / t scaled by the lcm of every t > 0 is an integer vector in the
-    # same lexicographic order; distinct extreme rays give distinct vertices
+    # distinct extreme rays give distinct vertices. Two unequal coordinates
+    # u / t and u' / t' differ by at least 1 / (t t') >= 1 / T^2, T the
+    # largest t, so floor(T^2 u / t) orders them as they are and keeps equal
+    # ones equal: an exact integer key whose size follows T, where the lcm
+    # of every t grows with each new denominator
     points = [(y, tight) for y, tight in rays if y[0]]
-    scale = math.lcm(*(y[0] for y, _ in points))
-    points.sort(key=lambda p: list(map((scale // p[0][0]).__mul__, p[0][1:])))
+    scale = max((y[0] for y, _ in points), default=0) ** 2
+    points.sort(key=lambda p: [u * scale // p[0][0] for u in p[0][1:]])
     # the rays with t = 0 are the recession directions
     return [(y, tight >> 1) for y, tight in points], len(points) < len(rays)
 

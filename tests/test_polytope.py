@@ -377,6 +377,33 @@ def test_ray_built_vertices_equal_fraction_built_ones():
     assert VPolytope(2, [(F(1, 2), 1), (F(-2, 3), F(1, 6))]).rays == ((6, -4, 1), (2, 1, 2))
 
 
+def seeded_frames(kind):
+    r = rng(1)
+    if kind == "dense-d3":
+        return [rand_frame(r, 4) for _ in range(60)]
+    if kind == "tree-d6":
+        return [rand_tree_frame(r, 5) for _ in range(60)]
+    # the frames of the pinned "seeded-d6-dense" builds in test_cli.py
+    return [rand_frame(rng(k), 5) for k in range(8)]
+
+
+@pytest.mark.parametrize("kind", ["dense-d3", "tree-d6", "dense-d6"])
+def test_vertex_order_is_the_fraction_order(kind):
+    """The double description sorts its vertices by an integer key scaled
+    by the square of the largest t, not by the lcm of every t. Its order
+    must be the one of Fraction tuples on the benchmark's kinds of frames
+    and on dense n = 5 frames, whose lcm runs to thousands of bits."""
+    lcm_bits, key_bits = [], []
+    for frame in seeded_frames(kind):
+        h = build_h_polytope(frame)
+        v = enumerate_vertices(h)
+        assert VPolytope(h.d, reversed(v.vertices)).rays == v.rays
+        lcm_bits.append(math.lcm(*(y[0] for y in v.rays)).bit_length())
+        key_bits.append((max(y[0] for y in v.rays) ** 2).bit_length())
+    if kind == "dense-d6":
+        assert max(lcm_bits) > 4000 and max(key_bits) < 64
+
+
 def test_json_dict_rejects_garbage():
     with pytest.raises(MatrixError):
         polytope_from_json_dict({"d": 0, "inequalities": [], "vertices": []})

@@ -74,7 +74,10 @@ def test_usage_error_exits_2(capsys):
 
 def test_in_process_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
     """main builds the parser once; every later call must still give the
-    bytes and exit code of a fresh `python -m nilmat.cli` process."""
+    bytes and exit code of a fresh `python -m nilmat.cli` process. Each
+    subcommand runs once to success: its handler reads the modules that its
+    command's fill imported, which in one process an earlier fill may have
+    bound already, and a fresh process shows a fill that misses one."""
     sequence = [
         ["omega", "count", "--n", "4", "--k", "3"],
         ["omega", "count", "--n", "3", "--k", "9"],
@@ -84,8 +87,22 @@ def test_in_process_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
         ["polytope", "build", "--frame", "frame.json", "--census"],
         ["q", "make-nilpotent", "--frame", "frame.json", "--b", "b.json", "--alpha", "x"],
         ["omega", "count", "--n", "4", "--k", "3"],
+        ["nilcheck", "--matrix", "upper.json", "--ambient", "omega"],
+        ["omega", "enumerate", "--n", "3", "--k", "2"],
+        ["omega", "pattern", "--order", "2,1"],
+        ["omega", "member", "--pattern", "pattern.json", "--matrix", "upper.json", "--kind", "omega"],
+        ["q", "iso", "--frame", "frame.json", "--matrix", "flat.json"],
+        ["q", "member", "--frame", "frame.json", "--matrix", "flat.json"],
+        ["q", "nilclass", "--matrix", "flat.json"],
+        ["q", "make-nilpotent", "--frame", "frame.json", "--b", "b.json"],
+        ["verify", "example1"],
     ]
     write_json(tmp_path / "frame.json", reference.reference_frame().to_json_dict())
+    write_matrix(tmp_path / "upper.json", RMatrix([[0, 1], [0, 0]]))
+    write_matrix(tmp_path / "flat.json", q_zero(4))
+    write_matrix(tmp_path / "b.json", RMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+    pattern = omega.pattern_from_order(omega.LinearOrder.parse("2,1"))
+    write_json(tmp_path / "pattern.json", pattern.to_json_dict())
     monkeypatch.chdir(tmp_path)
     # usage text wraps at the terminal width
     monkeypatch.setenv("COLUMNS", "80")
@@ -105,7 +122,7 @@ def test_in_process_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
         captured = capsys.readouterr()
         in_process.append((code, captured.out, captured.err))
     assert len(builds) == 1
-    assert [code for code, _, _ in in_process] == [0, 1, 2, 2, 2, 0, 2, 0]
+    assert [code for code, _, _ in in_process] == [0, 1, 2, 2, 2, 0, 2, 0] + [0] * 9
 
     for argv, got in zip(sequence, in_process):
         fresh = subprocess.run(

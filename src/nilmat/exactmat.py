@@ -26,7 +26,8 @@ ONE = Fraction(1)
 # than exhaust memory
 MAX_ENTRIES = 10**6
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?\Z")
+# ASCII: \d alone would also match other scripts' digits, which int() reads
+_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?\Z", re.ASCII)
 
 
 class MatrixError(ValueError):
@@ -58,8 +59,8 @@ def _parse_pair(text):
 def parse_rational(text):
     """Parse an exact rational literal "p" or "p/q".
 
-    Decimal points, exponents and nonpositive denominators are rejected:
-    inputs must already be exact.
+    Decimal points, exponents, nonpositive denominators and digits other
+    than ASCII 0-9 are rejected: inputs must already be exact.
     """
     if not isinstance(text, str):
         raise MatrixError(f"rational literal must be a string, got {type(text).__name__}")
@@ -234,9 +235,6 @@ class RMatrix:
         i, j = key
         return Fraction(self._num[i][j], self._den)
 
-    def row(self, i):
-        return tuple(Fraction(x, self._den) for x in self._num[i])
-
     def column(self, j):
         return tuple(Fraction(r[j], self._den) for r in self._num)
 
@@ -336,20 +334,15 @@ class RMatrix:
             raise DimensionMismatch("only square matrices can be inverted")
         n = self.rows
         a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self._num)]
-        pivots = _reduce(a, n, stop_at_gap=True)
+        pivots = _reduce(a, n)
         if len(pivots) < n:
-            raise SingularMatrix(f"matrix is singular (zero pivot column {len(pivots)})")
+            gap = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
+            raise SingularMatrix(f"matrix is singular (zero pivot column {gap})")
         d = a[0][0]
         scale = self._den if d > 0 else -self._den
         return _normalised(tuple(tuple(scale * x for x in row[n:]) for row in a), abs(d))
 
     # -- inspection ----------------------------------------------------------
-
-    def row_sums(self):
-        return tuple(Fraction(sum(row), self._den) for row in self._num)
-
-    def col_sums(self):
-        return tuple(Fraction(sum(col), self._den) for col in zip(*self._num))
 
     def is_zero(self):
         return not any(chain.from_iterable(self._num))
@@ -400,14 +393,6 @@ class RMatrix:
         return _normalised(*_ingested(entries))
 
 
-def _dot(xs, ys, total=ZERO):
-    """total + xs . ys, skipping zero factors."""
-    for x, y in zip(xs, ys):
-        if x and y:
-            total += x * y
-    return total
-
-
 def mat_vec(m, vec):
     """Matrix times column vector, as a tuple of Fractions."""
     if len(vec) != m.cols:
@@ -417,7 +402,7 @@ def mat_vec(m, vec):
     return tuple(Fraction(sum(map(mul, row, v)), den) for row in m._num)
 
 
-def _reduce(a, width, stop_at_gap=False):
+def _reduce(a, width):
     """Fraction-free Gauss-Jordan elimination of the first `width` columns,
     in place.
 
@@ -430,8 +415,6 @@ def _reduce(a, width, stop_at_gap=False):
     Afterwards row i, for i < len(pivots), holds the same nonzero D at
     its pivot column pivots[i] and 0 at every other pivot column, so the
     reduced row echelon form is a[i][j] / D. Returns the pivot columns.
-    With stop_at_gap the elimination ends at the first column without a
-    pivot, which is all a square system needs to know it is singular.
     """
     rows = len(a)
     pivots = []
@@ -440,8 +423,6 @@ def _reduce(a, width, stop_at_gap=False):
         r = len(pivots)
         piv = next((i for i in range(r, rows) if a[i][c]), None)
         if piv is None:
-            if stop_at_gap:
-                break
             continue
         a[r], a[piv] = a[piv], a[r]
         top = a[r]
@@ -474,7 +455,7 @@ def solve_unique(m, rhs):
     n = m.rows
     b, bden = _int_vector(rhs)
     a = [list(row) + [v] for row, v in zip(m._num, b)]
-    if len(_reduce(a, n, stop_at_gap=True)) < n:
+    if len(_reduce(a, n)) < n:
         return None
     # (N / den) x = b / bden, so x = den * (N^-1 b) / bden
     d = a[0][0] * bden

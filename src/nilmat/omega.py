@@ -113,14 +113,6 @@ class OrderedPartition:
     def k(self):
         return len(self.blocks)
 
-    def block_indices(self):
-        """Map element -> 1-based index of its block."""
-        out = {}
-        for idx, block in enumerate(self.blocks, start=1):
-            for x in block:
-                out[x] = idx
-        return out
-
     def __str__(self):
         return "|".join(",".join(str(x) for x in b) for b in self.blocks)
 

@@ -18,14 +18,12 @@ from operator import mul
 from .exactmat import (
     RMatrix,
     MatrixError,
-    _dot,
     _int_vector,
     _is_int,
     _rational,
     _reduce,
     _shown,
     _size,
-    format_rational,
     parse_rational,
     solve_unique,
     ZERO,
@@ -43,7 +41,7 @@ class LinearInequality(namedtuple("LinearInequality", "constant coeffs")):
     __slots__ = ()
 
     def evaluate(self, point):
-        return _dot(self.coeffs, point, self.constant)
+        return self.constant + sum(map(mul, self.coeffs, point))
 
     def key(self):
         return (self.constant,) + tuple(self.coeffs)
@@ -57,11 +55,9 @@ def _check_dimension(d):
 class HPolytope:
     """Inequality description in canonical form: `rows` holds each distinct
     inequality once, scaled by the unique positive rational that makes it a
-    coprime integer tuple (constant, *coeffs), in sorted order.
-    `inequalities` holds the same rows as LinearInequality views, built on
-    first use."""
+    coprime integer tuple (constant, *coeffs), in sorted order."""
 
-    __slots__ = ("d", "rows", "_inequalities", "_dd")
+    __slots__ = ("d", "rows", "_dd")
 
     def __init__(self, d, inequalities):
         _check_dimension(d)
@@ -79,7 +75,6 @@ class HPolytope:
             rows.add(_primitive(iq.key()))
         self.d = d
         self.rows = tuple(sorted(rows))
-        self._inequalities = None
         self._dd = None  # _double_description's result, filled on first use
 
     @classmethod
@@ -87,17 +82,8 @@ class HPolytope:
         """The polytope of rows already in canonical form: coprime integer
         tuples, distinct and sorted."""
         h = object.__new__(cls)
-        h.d, h.rows, h._inequalities, h._dd = d, rows, None, None
+        h.d, h.rows, h._dd = d, rows, None
         return h
-
-    @property
-    def inequalities(self):
-        if self._inequalities is None:
-            self._inequalities = tuple(
-                LinearInequality(Fraction(row[0]), tuple(map(Fraction, row[1:])))
-                for row in self.rows
-            )
-        return self._inequalities
 
     def __eq__(self, other):
         return isinstance(other, HPolytope) and self.d == other.d and self.rows == other.rows
@@ -312,11 +298,11 @@ def _primitive(values):
 
 
 def facet_incidence(h):
-    """Facet-defining inequalities of a bounded polytope h, each with the
+    """Facet-defining rows of h.rows for a bounded polytope h, each with the
     indices of its tight vertices in enumerate_vertices(h)."""
     count = len(_double_description(h)[0])
     return [
-        (h.inequalities[r], tuple(i for i in range(count) if m >> i & 1))
+        (h.rows[r], tuple(i for i in range(count) if m >> i & 1))
         for r, m in _facet_masks(h)
     ]
 
@@ -376,23 +362,11 @@ def _facet_masks(h):
 # -- serialization ------------------------------------------------------------
 
 
-def polytope_to_json_dict(v, h):
-    if v.d != h.d:
-        raise MatrixError("vertex and inequality descriptions disagree on dimension")
-    return {
-        "d": h.d,
-        "inequalities": [
-            {"constant": format_rational(row[0]), "coeffs": [format_rational(c) for c in row[1:]]}
-            for row in h.rows
-        ],
-        "vertices": [[format_rational(x) for x in p] for p in v.vertices],
-    }
-
-
 def _to_json(v, h):
-    """json.dumps(polytope_to_json_dict(v, h), indent=2, sort_keys=True)
-    plus a newline, joined by hand from the integer rows and rays: with
-    indent set, json.dumps runs its pure-Python encoder."""
+    """{"d", "inequalities": [{"coeffs", "constant"}], "vertices"} in exact
+    texts, as json.dumps(..., indent=2, sort_keys=True) plus a newline writes
+    it, joined by hand from the integer rows and rays: with indent set,
+    json.dumps runs its pure-Python encoder."""
     if v.d != h.d:
         raise MatrixError("vertex and inequality descriptions disagree on dimension")
     try:
@@ -455,7 +429,8 @@ def polytope_from_json_dict(obj):
     vertices = [tuple(parse_rational(x) for x in p) for p in raw_vertices]
     h, v = HPolytope(d, ineqs), VPolytope(d, vertices)
     for p in vertices:
-        if any(iq.evaluate(p) < 0 for iq in h.inequalities):
+        ray = _primitive((1,) + p)
+        if any(sum(map(mul, row, ray)) < 0 for row in h.rows):
             raise MatrixError(f"polytope vertex ({', '.join(map(str, p))}) violates an inequality")
     return h, v
 
@@ -508,7 +483,7 @@ def _to_off(v, h):
     if not facets or len(facets[0][1]) == len(v.vertices):
         raise MatrixError("degenerate polytope: vertices do not span 3 dimensions")
     try:
-        faces = [_ordered_face(tight, v.vertices, iq.coeffs) for iq, tight in facets]
+        faces = [_ordered_face(tight, v.vertices, row[1:]) for row, tight in facets]
     except OverflowError:
         raise MatrixError("OFF faces are ordered in floats, and a coordinate exceeds them") from None
     edge_total = sum(len(f) for f in faces)

@@ -98,12 +98,6 @@ class RMatrix:
             raise SingularMatrix(f"matrix is singular (zero pivot column {len(pivots)})")
         return RMatrix([row[n:] for row in a])
 
-    def row_sums(self):
-        return tuple(sum(row, ZERO) for row in self._data)
-
-    def col_sums(self):
-        return tuple(sum(self.column(j), ZERO) for j in range(self.cols))
-
     def min_entry(self):
         return min(x for row in self._data for x in row)
 

@@ -46,9 +46,14 @@ def pair_order_pattern(order):
     return BoolMatrix.from_pairs(n, pairs)
 
 
+def block_indices(partition):
+    """Map element -> 1-based index of its block."""
+    return {x: idx for idx, block in enumerate(partition.blocks, start=1) for x in block}
+
+
 def pair_partition_pattern(partition):
     """Bit (i, j) set exactly when i's block comes before j's."""
-    bidx = partition.block_indices()
+    bidx = block_indices(partition)
     n = partition.n
     pairs = [
         (i - 1, j - 1)

@@ -3,23 +3,54 @@ search and the certificate-plus-ray-enumeration boundedness test that
 nilmat.polytope used before its double description routine, exponential
 in the number of inequalities and meant for d <= 4 or sparse d = 6; the
 per-row rank test that facet_incidence used before it read facets off
-the vertex-row incidence; and the unit-image construction that
-build_h_polytope used before it read its rows off the frame matrices."""
+the vertex-row incidence; the unit-image construction that
+build_h_polytope used before it read its rows off the frame matrices; and
+the Fraction forms of a polytope, its rows as LinearInequality values and
+the payload that its JSON export writes."""
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
-from nilmat.exactmat import ONE, ZERO, RMatrix, _dot, mat_vec, null_space, rank, solve_unique
+from nilmat.exactmat import (
+    ONE,
+    ZERO,
+    RMatrix,
+    format_rational,
+    mat_vec,
+    null_space,
+    rank,
+    solve_unique,
+)
 from nilmat.polytope import HPolytope, LinearInequality, matrix_from_params
 from nilmat.qflag import iso_backward, q_zero
 
 
+def inequalities(h):
+    """The rows of h as LinearInequality values with Fraction fields."""
+    return [LinearInequality(Fraction(row[0]), tuple(map(Fraction, row[1:]))) for row in h.rows]
+
+
+def polytope_to_json_dict(v, h):
+    """The payload of export_polytope(v, h, "json"), written with
+    format_rational from the Fraction vertices."""
+    return {
+        "d": h.d,
+        "inequalities": [
+            {"constant": format_rational(row[0]), "coeffs": [format_rational(c) for c in row[1:]]}
+            for row in h.rows
+        ],
+        "vertices": [[format_rational(x) for x in p] for p in v.vertices],
+    }
+
+
 def brute_force_vertices(h):
     """Solve every d-subset of inequalities; keep the feasible solutions."""
+    ineqs = inequalities(h)
     found = set()
-    for subset in combinations(h.inequalities, h.d):
+    for subset in combinations(ineqs, h.d):
         sol = solve_unique(RMatrix([iq.coeffs for iq in subset]), [-iq.constant for iq in subset])
-        if sol is not None and all(iq.evaluate(sol) >= 0 for iq in h.inequalities):
+        if sol is not None and all(iq.evaluate(sol) >= 0 for iq in ineqs):
             found.add(sol)
     return found
 
@@ -34,15 +65,16 @@ def brute_force_is_bounded(h):
     one-dimensional kernel of some d-1 rows.
     """
     d = h.d
-    rows = [iq.coeffs for iq in h.inequalities]
+    ineqs = inequalities(h)
+    rows = [iq.coeffs for iq in ineqs]
     if not rows:
         return False
     a = RMatrix(rows)
     if rank(a) < d:
         return False
     guesses = [[ONE] * len(rows)]
-    if all(iq.constant > 0 for iq in h.inequalities):
-        guesses.append([1 / iq.constant for iq in h.inequalities])
+    if all(iq.constant > 0 for iq in ineqs):
+        guesses.append([1 / iq.constant for iq in ineqs])
     for guess in guesses:
         if all(x > 0 for x in _left_kernel_projection(a, guess)):
             return True
@@ -65,19 +97,19 @@ def _left_kernel_projection(a, guess):
 
 
 def _feasible(rows, y):
-    return all(_dot(r, y) >= 0 for r in rows)
+    return all(sum(map(mul, r, y)) >= 0 for r in rows)
 
 
 def rank_facet_incidence(h, v):
     """A row is a facet when its tight vertices, found by evaluating it in
     Fractions, affinely span dimension d - 1: one exact rank per row."""
     out = []
-    for iq in h.inequalities:
+    for row, iq in zip(h.rows, inequalities(h)):
         tight = [i for i, p in enumerate(v.vertices) if iq.evaluate(p) == 0]
         if len(tight) < h.d:
             continue
         if _affine_rank([v.vertices[i] for i in tight]) == h.d - 1:
-            out.append((iq, tuple(tight)))
+            out.append((row, tuple(tight)))
     return out
 
 
@@ -101,10 +133,10 @@ def unit_image_polytope(frame):
         iso_backward(matrix_from_params(n - 1, [ONE if k == t else ZERO for k in range(d)]), frame)
         for t in range(d)
     ]
-    inequalities = []
+    rows = []
     for i in range(n):
         for j in range(n):
             coeffs = tuple(m[i, j] - inv_n for m in unit_images)
             if any(coeffs):
-                inequalities.append(LinearInequality(inv_n, coeffs))
-    return HPolytope(d, inequalities)
+                rows.append(LinearInequality(inv_n, coeffs))
+    return HPolytope(d, rows)

@@ -38,9 +38,9 @@ from nilmat.polytope import (
     enumerate_vertices,
     matrix_from_params,
     polytope_from_json_dict,
-    polytope_to_json_dict,
 )
 from nilmat.qflag import FlagFrame, make_stochastic_nilpotent, q_zero, scale_toward_zero
+from polytope_oracles import polytope_to_json_dict
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 

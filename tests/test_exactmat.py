@@ -42,6 +42,10 @@ TOO_LONG = "1" * (sys.get_int_max_str_digits() + 1)
     "bad",
     ["1.5", "1e3", "2/0", "2/-3", "", "x", "1/2/3", "0x1"]
     + [
+        # int() reads any script's decimal digits; a literal takes ASCII only
+        pytest.param("\u0661\u0662", id="arabic-indic-12"),
+        pytest.param("\uff11/2", id="fullwidth-numerator"),
+        pytest.param("1/1\u0662", id="arabic-indic-in-denominator"),
         pytest.param(TOO_LONG, id="long-numerator"),
         pytest.param("1/" + TOO_LONG, id="long-denominator"),
     ],
@@ -183,6 +187,12 @@ def test_singular_and_dimension_errors_are_distinct():
     assert not issubclass(SingularMatrix, DimensionMismatch)
 
 
+def test_singular_message_names_the_first_column_without_a_pivot():
+    # column 1 has no pivot, but column 2 does: the rank would say 2
+    with pytest.raises(SingularMatrix, match=r"^matrix is singular \(zero pivot column 1\)$"):
+        RMatrix([[1, 2, 3], [2, 4, 7], [0, 0, 1]]).inverse()
+
+
 def test_random_inverses_are_two_sided():
     r = rng(3)
     for n in range(1, 7):
@@ -241,9 +251,10 @@ def test_rank_and_null_space():
 
 
 def test_row_and_column_sums():
+    # sums are products with a column or a row of ones
     a = RMatrix([[1, 2], [3, 4]])
-    assert a.row_sums() == (F(3), F(7))
-    assert a.col_sums() == (F(4), F(6))
+    assert a * RMatrix([[1], [1]]) == RMatrix([[3], [7]])
+    assert RMatrix([[1, 1]]) * a == RMatrix([[4, 6]])
     assert a.transpose() == RMatrix([[1, 3], [2, 4]])
 
 

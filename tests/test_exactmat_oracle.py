@@ -104,7 +104,6 @@ def test_arithmetic_matches_the_oracle(data, c):
     for got, want in results:
         assert got.to_rows() == want.to_rows()
         assert canonical(got)
-    assert a.row_sums() == oa.row_sums() and a.col_sums() == oa.col_sums()
     assert a.min_entry() == oa.min_entry() and a.max_entry() == oa.max_entry()
 
 

@@ -20,11 +20,11 @@ from nilmat.polytope import (
     is_bounded,
     matrix_from_params,
     polytope_from_json_dict,
-    polytope_to_json_dict,
     upper_triangle_positions,
 )
 from nilmat.qflag import FlagFrame, is_doubly_stochastic, iso_backward
 from nilmat.reference import DATASETS, reference_frame
+from polytope_oracles import inequalities, polytope_to_json_dict
 
 F = Fraction
 
@@ -59,8 +59,8 @@ def test_canonicalization_scales_to_coprime_integers():
 
 
 def test_linear_inequality_keeps_its_value_semantics():
-    """LinearInequality is a named tuple subclass, no longer a frozen
-    dataclass; repr, equality, hashing and immutability stay as they were."""
+    """LinearInequality is a named tuple subclass with the repr, equality,
+    hashing and immutability of a value."""
     a = ineq(1, F(1, 2), -3)
     assert repr(a) == (
         "LinearInequality(constant=Fraction(1, 1), coeffs=(Fraction(1, 2), Fraction(-3, 1)))"
@@ -73,13 +73,13 @@ def test_linear_inequality_keeps_its_value_semantics():
         a.constant = F(2)
     with pytest.raises(AttributeError):
         a.extra = 1
-    # new with the named tuple: the value is a tuple
+    # the value is a tuple
     assert a == (F(1), (F(1, 2), F(-3)))
 
 
 def test_hpolytope_deduplicates():
     h = HPolytope(2, [ineq(1, 2, 0), ineq(F(1, 2), 1, 0), ineq(1, 0, 1)])
-    assert len(h.inequalities) == 2
+    assert h.rows == ((1, 0, 1), (1, 2, 0))
 
 
 @pytest.mark.parametrize(
@@ -151,17 +151,14 @@ def test_build_h_polytope_reproduces_reference_systems():
     for which in ("frame-a", "frame-b"):
         frame = reference_frame(which=which)
         h = build_h_polytope(frame)
-        expected = DATASETS["example1"][which]["inequalities"]
-        assert {iq.key() for iq in h.inequalities} == {
-            tuple(F(x) for x in key) for key in expected
-        }
+        assert set(h.rows) == DATASETS["example1"][which]["inequalities"]
 
 
 def test_origin_is_interior():
     for which in ("frame-a", "frame-b"):
         h = build_h_polytope(reference_frame(which=which))
         origin = (F(0),) * h.d
-        assert all(iq.evaluate(origin) > 0 for iq in h.inequalities)
+        assert all(iq.evaluate(origin) > 0 for iq in inequalities(h))
 
 
 def test_build_rejects_partial_flags_and_tiny_frames():
@@ -200,7 +197,7 @@ def test_vertices_satisfy_system_with_enough_tight_rows():
     h = build_h_polytope(reference_frame())
     v = enumerate_vertices(h)
     for p in v.vertices:
-        values = [iq.evaluate(p) for iq in h.inequalities]
+        values = [iq.evaluate(p) for iq in inequalities(h)]
         assert all(x >= 0 for x in values)
         assert sum(1 for x in values if x == 0) >= h.d
 
@@ -279,7 +276,7 @@ def test_scaled_vertex_segments_contain_origin_strictly():
     v = enumerate_vertices(h)
     for w in v.vertices:
         lo, hi = None, None
-        for iq in h.inequalities:
+        for iq in inequalities(h):
             slope = iq.evaluate(w) - iq.constant
             if slope < 0:
                 bound = -iq.constant / slope
@@ -304,7 +301,7 @@ def test_feasibility_matches_double_stochasticity():
     for _ in range(20):
         points.append(tuple(F(r.randint(-4, 4), 4) for _ in range(3)))
     for x in points:
-        feasible = all(iq.evaluate(x) >= 0 for iq in h.inequalities)
+        feasible = all(iq.evaluate(x) >= 0 for iq in inequalities(h))
         member = iso_backward(matrix_from_params(3, x), frame)
         assert feasible == is_doubly_stochastic(member)
 
@@ -439,6 +436,18 @@ def test_json_dict_malformed_structure_is_a_matrix_error(obj):
     match = r"\(5, 5\) violates" if obj["d"] == 2 else None
     with pytest.raises(MatrixError, match=match):
         polytope_from_json_dict(obj)
+
+
+def test_json_import_names_the_first_bad_vertex_in_input_order():
+    # both (7/2, 0) and (-3, 1/2) lie outside the box |x|, |y| <= 1; the
+    # first one listed is named, though the vertex order puts it last
+    box = [
+        {"constant": "1", "coeffs": c} for c in (["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"])
+    ]
+    vertices = [["1", "-1"], ["7/2", "0"], ["-3", "1/2"], ["1", "1"]]
+    message = r"^polytope vertex \(7/2, 0\) violates an inequality$"
+    with pytest.raises(MatrixError, match=message):
+        polytope_from_json_dict({"d": 2, "inequalities": box, "vertices": vertices})
 
 
 def test_off_export_tetrahedron():

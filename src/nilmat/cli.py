@@ -240,7 +240,7 @@ def _cmd_polytope_build(args, out):
     # leaves existing files as they were; stdout is written last, so any
     # error leaves it empty
     exports = [
-        (path, polytope.export_polytope(v, h, fmt))
+        (path, polytope.export_polytope(h, fmt))
         for path, fmt in ((args.out, "json"), (args.off, "off"))
         if path
     ]

@@ -9,7 +9,14 @@ test against the pattern.
 import math
 from operator import add
 
-from .boolrel import _MAXIMALITY_MAX_N, BoolMatrix, is_rook, nilpotency_index, support_pattern
+from .boolrel import (
+    _MAXIMALITY_MAX_N,
+    BoolMatrix,
+    _size,
+    is_rook,
+    nilpotency_index,
+    support_pattern,
+)
 from .exactmat import RMatrix, MatrixError, ONE, ZERO, _is_int, _shown, int_tuple
 
 KINDS = ("omega", "m0", "m0plus")
@@ -140,7 +147,7 @@ def pattern_from_order(order):
 def pattern_from_partition(partition):
     """Support pattern of the class-k subsemigroup labelled by an ordered
     partition: bit (i, j) is set when i's block comes strictly before j's."""
-    rows = [0] * partition.n
+    rows = [0] * _size(partition.n, "pattern size")
     later = 0  # the elements of the blocks after the current one
     for block in reversed(partition.blocks):
         mask = 0

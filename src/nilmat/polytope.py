@@ -24,7 +24,6 @@ from .exactmat import (
     _reduce,
     _shown,
     _size,
-    parse_rational,
     solve_unique,
     ZERO,
 )
@@ -42,9 +41,6 @@ class LinearInequality(namedtuple("LinearInequality", "constant coeffs")):
 
     def evaluate(self, point):
         return self.constant + sum(map(mul, self.coeffs, point))
-
-    def key(self):
-        return (self.constant,) + tuple(self.coeffs)
 
 
 def _check_dimension(d):
@@ -72,7 +68,7 @@ class HPolytope:
             # a string or a dict would iterate as characters or keys
             if not isinstance(iq.coeffs, (tuple, list)) or len(iq.coeffs) != d:
                 raise MatrixError("inequality arity does not match the dimension")
-            rows.add(_primitive(iq.key()))
+            rows.add(_primitive((iq.constant, *iq.coeffs)))
         self.d = d
         self.rows = tuple(sorted(rows))
         self._dd = None  # _double_description's result, filled on first use
@@ -181,7 +177,7 @@ def build_h_polytope(frame):
     n = frame.n
     positions = upper_triangle_positions(n - 1)
     if not positions:
-        raise MatrixError("no triangle parameters below size 4")
+        raise MatrixError("no triangle parameters below size 3")
     f, f_inv = frame.f, frame.f_inv
     ab = f._den * f_inv._den
     assert all(n * x == f_inv._den for x in f_inv._num[0])
@@ -367,8 +363,6 @@ def _to_json(v, h):
     texts, as json.dumps(..., indent=2, sort_keys=True) plus a newline writes
     it, joined by hand from the integer rows and rays: with indent set,
     json.dumps runs its pure-Python encoder."""
-    if v.d != h.d:
-        raise MatrixError("vertex and inequality descriptions disagree on dimension")
     try:
         inequalities = [
             '    {\n      "coeffs": [\n        "'
@@ -404,35 +398,6 @@ def _json_list(items):
     """A JSON list, at indent 2 inside the top-level object, of items
     already written at their own indent."""
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
-
-
-def polytope_from_json_dict(obj):
-    if not isinstance(obj, dict):
-        raise MatrixError("polytope JSON must be an object")
-    try:
-        d = obj["d"]
-        raw_ineqs = obj["inequalities"]
-        raw_vertices = obj["vertices"]
-    except (KeyError, TypeError) as exc:
-        raise MatrixError(f"polytope JSON missing field: {exc}") from exc
-    if not isinstance(raw_ineqs, list) or not isinstance(raw_vertices, list):
-        raise MatrixError("polytope JSON inequalities and vertices must be lists")
-    ineqs = []
-    for item in raw_ineqs:
-        coeffs = item.get("coeffs") if isinstance(item, dict) else None
-        if not isinstance(coeffs, list) or "constant" not in item:
-            raise MatrixError(f"bad inequality entry: {_shown(item)}")
-        constant = parse_rational(item["constant"])
-        ineqs.append(LinearInequality(constant, tuple(parse_rational(c) for c in coeffs)))
-    if any(not isinstance(p, list) for p in raw_vertices):
-        raise MatrixError("each polytope vertex must be a list")
-    vertices = [tuple(parse_rational(x) for x in p) for p in raw_vertices]
-    h, v = HPolytope(d, ineqs), VPolytope(d, vertices)
-    for p in vertices:
-        ray = _primitive((1,) + p)
-        if any(sum(map(mul, row, ray)) < 0 for row in h.rows):
-            raise MatrixError(f"polytope vertex ({', '.join(map(str, p))}) violates an inequality")
-    return h, v
 
 
 def _decimal_str(value, digits=20):
@@ -477,8 +442,6 @@ def _cross(a, b):
 def _to_off(v, h):
     if h.d != 3:
         raise MatrixError("OFF export defined for 3-dimensional polytopes only")
-    if v != enumerate_vertices(h):
-        raise MatrixError("OFF export needs the vertices of h, in enumerate_vertices order")
     facets = facet_incidence(h)
     if not facets or len(facets[0][1]) == len(v.vertices):
         raise MatrixError("degenerate polytope: vertices do not span 3 dimensions")
@@ -496,10 +459,10 @@ def _to_off(v, h):
     return "\n".join(lines) + "\n"
 
 
-def export_polytope(v, h, fmt):
-    """Serialize to bytes, either exact JSON or an approximate OFF mesh."""
-    if fmt == "json":
-        return _to_json(v, h).encode()
-    if fmt == "off":
-        return _to_off(v, h).encode()
-    raise MatrixError(f"unknown export format: {fmt!r}")
+def export_polytope(h, fmt):
+    """Serialize h and its vertices to bytes, either exact JSON or an
+    approximate OFF mesh."""
+    if fmt not in ("json", "off"):
+        raise MatrixError(f"unknown export format: {_shown(fmt)}")
+    v = VPolytope._from_rays(h.d, tuple(y for y, _ in _double_description(h)[0]))
+    return (_to_json if fmt == "json" else _to_off)(v, h).encode()

@@ -32,8 +32,8 @@ def inequalities(h):
 
 
 def polytope_to_json_dict(v, h):
-    """The payload of export_polytope(v, h, "json"), written with
-    format_rational from the Fraction vertices."""
+    """The payload of export_polytope(h, "json"), written with
+    format_rational from the Fraction vertices v = enumerate_vertices(h)."""
     return {
         "d": h.d,
         "inequalities": [

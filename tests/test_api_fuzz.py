@@ -35,12 +35,10 @@ from nilmat.polytope import (
     LinearInequality,
     VPolytope,
     build_h_polytope,
-    enumerate_vertices,
+    export_polytope,
     matrix_from_params,
-    polytope_from_json_dict,
 )
 from nilmat.qflag import FlagFrame, make_stochastic_nilpotent, q_zero, scale_toward_zero
-from polytope_oracles import polytope_to_json_dict
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -168,14 +166,6 @@ def _frame_docs():
     return [f.to_json_dict() for f in frames]
 
 
-def _polytope_docs():
-    box = HPolytope(
-        2, [LinearInequality(Fraction(1), c) for c in ((1, 0), (0, 1), (-1, 0), (0, -1))]
-    )
-    h = build_h_polytope(reference.reference_frame())
-    return [polytope_to_json_dict(enumerate_vertices(p), p) for p in (box, h)]
-
-
 def _first(result):
     # a generator checks its arguments when iterated
     if isinstance(result, Iterator):
@@ -235,10 +225,10 @@ CALLS = {
     "matrix_from_params": (matrix_from_params, NONE, sized(_params)),
     "HPolytope": (_hpolytope, NONE, sized(_inequalities)),
     "VPolytope": (VPolytope, NONE, sized(_vertices)),
-    "polytope_from_json_dict": (
-        polytope_from_json_dict,
-        NONE,
-        args(st.sampled_from(_polytope_docs())),
+    "export_polytope": (
+        export_polytope,
+        st.just([build_h_polytope(reference.reference_frame())]),
+        args(st.sampled_from(["json", "off"])),
     ),
     "reference.verify": (reference.verify, NONE, args(st.just("example1"))),
 }
@@ -268,7 +258,6 @@ def _scaled(alpha):
     "call",
     [
         lambda: HPolytope(1, [TOO_LONG]),
-        lambda: polytope_from_json_dict({"d": 1, "inequalities": [TOO_LONG], "vertices": []}),
         lambda: FlagFrame.standard(3, [1, TOO_LONG]),
         lambda: BoolMatrix.from_json_dict({"n": 2, "bits": [[TOO_LONG, 1]]}),
         lambda: BoolMatrix.from_json_dict({"n": 2, "bits": [[TOO_LONG]]}),
@@ -277,7 +266,6 @@ def _scaled(alpha):
     ],
     ids=[
         "HPolytope",
-        "polytope_from_json_dict",
         "FlagFrame.standard",
         "pattern-bit",
         "pattern-pair",

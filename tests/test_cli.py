@@ -351,6 +351,13 @@ def test_omega_member_refuses_an_oversized_pattern_at_once(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_omega_pattern_refuses_a_pattern_too_large_to_read_back(capsys):
+    order = ",".join(map(str, range(1, 1002)))
+    code, out, err = run(capsys, "omega", "pattern", "--order", order)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
 COMMAND_ONLY = {"json", "nilmat.omega", "nilmat.polytope", "nilmat.qflag", "nilmat.reference"}
 

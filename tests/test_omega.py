@@ -84,6 +84,18 @@ def test_pattern_from_partition_examples():
     assert pattern_from_partition(OrderedPartition([(1, 3), (2,)])) == bits(3, (1, 2), (3, 2))
 
 
+def test_patterns_stop_at_the_pattern_reader_cap():
+    # the patterns that BoolMatrix.from_json_dict reads back: n * n <= MAX_ENTRIES
+    order = LinearOrder(range(1, 1001))
+    assert pattern_from_order(order).bit_count() == 1000 * 999 // 2
+    assert pattern_from_partition(OrderedPartition([range(1, 1001)])) == BoolMatrix.empty(1000)
+    message = "^Boolean matrices are limited to 1000000 entries$"
+    with pytest.raises(MatrixError, match=message):
+        pattern_from_order(LinearOrder(range(1, 1002)))
+    with pytest.raises(MatrixError, match=message):
+        pattern_from_partition(OrderedPartition([range(1, 1001), (1001,)]))
+
+
 def test_order_pattern_is_singleton_partition_pattern():
     for n in range(1, 6):
         for perm in permutations(range(1, n + 1)):

@@ -146,7 +146,7 @@ def test_off_faces_turn_outward(frame_polytopes):
         for h in (build_h_polytope(reference_frame(which=w)) for w in ("frame-a", "frame-b"))
     ]
     for h, v in examples + [(h, v) for h, v in frame_polytopes if h.d == 3]:
-        lines = export_polytope(v, h, "off").decode().splitlines()
+        lines = export_polytope(h, "off").decode().splitlines()
         faces = lines[2 + len(v.vertices) :]
         facets = facet_incidence(h)
         assert len(faces) == len(facets)

@@ -17,7 +17,14 @@ from itertools import chain
 # start-up loads only what the chosen command needs; a handler runs only
 # after its command's fill, which binds the module names it reads
 from . import boolrel
-from .exactmat import MatrixError, RMatrix, format_rational, parse_rational
+from .exactmat import (
+    MatrixError,
+    RMatrix,
+    _json_list,
+    _parse_int,
+    format_rational,
+    parse_rational,
+)
 
 
 def _load_json(path):
@@ -76,8 +83,24 @@ def _dump(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+# The two writers below give _dump's bytes, joined by hand: these outputs
+# hold only ints and texts of digits, signs and slashes, which need no
+# escaping.
+
+
 def _print_matrix(m, out):
-    out.write(_dump(m.to_json_dict()))
+    entries = [
+        '    [\n      "' + '",\n      "'.join(row) + '"\n    ]'
+        for row in m.to_json_dict()["entries"]
+    ]
+    out.write(
+        f'{{\n  "cols": {m.cols},\n  "entries": {_json_list(entries)},\n  "rows": {m.rows}\n}}\n'
+    )
+
+
+def _print_pattern(pattern, out):
+    bits = [f"    [\n      {i + 1},\n      {j + 1}\n    ]" for i, j in pattern.bits()]
+    out.write(f'{{\n  "bits": {_json_list(bits)},\n  "n": {pattern.n}\n}}\n')
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -184,7 +207,7 @@ def _cmd_omega_pattern(args, out):
         pattern = omega.pattern_from_order(args.order)
     else:
         pattern = omega.pattern_from_partition(args.partition)
-    out.write(_dump(pattern.to_json_dict()))
+    _print_pattern(pattern, out)
     return 0
 
 
@@ -280,6 +303,12 @@ def _usage_checked(parse):
     return convert
 
 
+def _ascii_ints(parser):
+    """Options of type int take ASCII digits only. Registered under int,
+    the converter keeps argparse's "invalid int value" message."""
+    parser.register("type", int, _parse_int)
+
+
 class _LazySubcommands(argparse._SubParsersAction):
     """Subcommands whose parsers get their arguments on first use: add_parser
     takes a fill function, which runs on the command's parser the first time
@@ -362,12 +391,14 @@ def _fill_omega(p):
 
 
 def _fill_omega_count(p):
+    _ascii_ints(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=_cmd_omega_count)
 
 
 def _fill_omega_enumerate(p):
+    _ascii_ints(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--json", help="write a JSON file instead of text lines")

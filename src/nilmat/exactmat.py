@@ -28,6 +28,8 @@ MAX_ENTRIES = 10**6
 
 # ASCII: \d alone would also match other scripts' digits, which int() reads
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?\Z", re.ASCII)
+# int() also reads underscores between digits
+_INT_RE = re.compile(r"[+-]?\d+\Z", re.ASCII)
 
 
 class MatrixError(ValueError):
@@ -40,6 +42,16 @@ class DimensionMismatch(MatrixError):
 
 class SingularMatrix(MatrixError):
     """A matrix that needed to be invertible is singular."""
+
+
+def _parse_int(text):
+    """The int of an integer literal: a str of ASCII digits with an
+    optional sign and surrounding whitespace. Anything else is a
+    MatrixError, and more digits than int() accepts its ValueError."""
+    s = text.strip()
+    if not _INT_RE.match(s):
+        raise MatrixError(f"not an integer literal: {text!r}")
+    return int(s)
 
 
 def _parse_pair(text):
@@ -78,6 +90,14 @@ def _format_pair(p, q):
     except ValueError:
         # str() refuses ints of more than sys.get_int_max_str_digits() digits
         raise MatrixError("number has too many digits to write out") from None
+
+
+def _json_list(items):
+    """A JSON list, at indent 2 inside the top-level object, of items
+    already written at their own indent, as json.dumps(..., indent=2)
+    writes it. The hand-joined JSON outputs share it: with indent set,
+    json.dumps runs its pure-Python encoder."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def format_rational(value):

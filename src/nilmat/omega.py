@@ -17,7 +17,7 @@ from .boolrel import (
     nilpotency_index,
     support_pattern,
 )
-from .exactmat import RMatrix, MatrixError, ONE, ZERO, _is_int, _shown, int_tuple
+from .exactmat import RMatrix, MatrixError, ONE, ZERO, _is_int, _parse_int, _shown, int_tuple
 
 KINDS = ("omega", "m0", "m0plus")
 
@@ -37,7 +37,7 @@ def _require_text(text, what):
 
 def _parse_ints(text):
     try:
-        return [int(part) for part in text.split(",")]
+        return [_parse_int(part) for part in text.split(",")]
     except ValueError:
         raise MatrixError(f"not a comma-separated list of integers: {text!r}") from None
 

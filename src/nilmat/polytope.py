@@ -20,6 +20,7 @@ from .exactmat import (
     MatrixError,
     _int_vector,
     _is_int,
+    _json_list,
     _rational,
     _reduce,
     _shown,
@@ -236,6 +237,12 @@ def _run_double_description(h):
     those rows. Fewer than d + 1 independent rows means coefficient rank
     below d: the cone holds a line, so there are no vertices and the
     polytope is unbounded.
+
+    Row 0, t >= 0, is always the first of those rows, so the start cone is
+    one vertex, where the other d rows are tight, and the d edge directions
+    (t = 0) that leave it, each off one of those rows: with A their
+    coefficient block, A x = -constants gives the vertex (1, x) and
+    A y = e_j the direction (0, y).
     """
     d = h.d
     rows = [(1,) + (0,) * d] + list(h.rows)
@@ -243,26 +250,36 @@ def _run_double_description(h):
     basis = _reduce([list(col) for col in zip(*rows)], len(rows))
     if len(basis) <= d:
         return [], True
-    start = RMatrix([rows[i] for i in basis])
+    edges = basis[1:]
+    block = RMatrix([rows[i][1:] for i in edges])
     tight_on_start = sum(1 << i for i in basis)
     # (ray, bitmask of the rows taken so far that are tight on it)
-    rays = [
+    vertex = solve_unique(block, [-rows[i][0] for i in edges])
+    rays = [(_primitive((1, *vertex)), tight_on_start & ~1)]
+    rays += [
         (
-            _primitive(solve_unique(start, [int(k == j) for k in range(d + 1)])),
+            _primitive((0, *solve_unique(block, [int(k == j) for k in range(d)]))),
             tight_on_start & ~(1 << i),
         )
-        for j, i in enumerate(basis)
+        for j, i in enumerate(edges)
     ]
     need = d - 1
     for i in sorted(set(range(len(rows))) - set(basis)):
         row, bit = rows[i], 1 << i
-        sides = [(ray, sum(map(mul, row, ray[0]))) for ray in rays]
-        kept = [(y, tight | bit if s == 0 else tight) for (y, tight), s in sides if s >= 0]
-        plus = [(ray, s) for ray, s in sides if s > 0]
-        minus = [(ray, s) for ray, s in sides if s < 0]
+        kept, plus, minus = [], [], []
+        for ray in rays:
+            y, tight = ray
+            s = sum(map(mul, row, y))
+            if s > 0:
+                kept.append(ray)
+                plus.append((y, tight, s))
+            elif s:
+                minus.append((y, tight, s))
+            else:
+                kept.append((y, tight | bit))
         masks = [tight for _, tight in rays]
-        for (yp, tp), sp in plus:
-            for (yn, tn), sn in minus:
+        for yp, tp, sp in plus:
+            for yn, tn, sn in minus:
                 common = tp & tn
                 # p and n are tight on common: adjacent when no third ray is
                 if common.bit_count() < need or [m & common for m in masks].count(common) > 2:
@@ -271,7 +288,7 @@ def _run_double_description(h):
                 # and only its gcd needs dividing out
                 w = [sp * b - sn * a for a, b in zip(yp, yn)]
                 g = math.gcd(*w)
-                kept.append((tuple(x // g for x in w), common | bit))
+                kept.append((tuple(w) if g == 1 else tuple(x // g for x in w), common | bit))
         rays = kept
     # distinct extreme rays give distinct vertices. Two unequal coordinates
     # u / t and u' / t' differ by at least 1 / (t t') >= 1 / T^2, T the
@@ -392,12 +409,6 @@ def _coordinates(ray):
         g = math.gcd(x, t)
         texts.append(str(x // g) if g == t else f"{x // g}/{t // g}")
     return texts
-
-
-def _json_list(items):
-    """A JSON list, at indent 2 inside the top-level object, of items
-    already written at their own indent."""
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def _decimal_str(value, digits=20):

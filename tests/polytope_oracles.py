@@ -6,8 +6,11 @@ per-row rank test that facet_incidence used before it read facets off
 the vertex-row incidence; the unit-image construction that
 build_h_polytope used before it read its rows off the frame matrices; and
 the Fraction forms of a polytope, its rows as LinearInequality values and
-the payload that its JSON export writes."""
+the payload that its JSON export writes; and the double description pass
+that started from the full basis of d + 1 rows and split each row's rays
+in three passes."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -16,13 +19,14 @@ from nilmat.exactmat import (
     ONE,
     ZERO,
     RMatrix,
+    _reduce,
     format_rational,
     mat_vec,
     null_space,
     rank,
     solve_unique,
 )
-from nilmat.polytope import HPolytope, LinearInequality, matrix_from_params
+from nilmat.polytope import HPolytope, LinearInequality, _primitive, matrix_from_params
 from nilmat.qflag import iso_backward, q_zero
 
 
@@ -140,3 +144,45 @@ def unit_image_polytope(frame):
             if any(coeffs):
                 rows.append(LinearInequality(inv_n, coeffs))
     return HPolytope(d, rows)
+
+
+def full_basis_double_description(h):
+    """(vertices, unbounded) as polytope._run_double_description returns
+    them, from the start cone of the full basis: each of its d + 1 rays
+    solves the (d + 1) x (d + 1) basis for a unit vector, and each row's
+    rays are split into kept, plus and minus lists in three passes."""
+    d = h.d
+    rows = [(1,) + (0,) * d] + list(h.rows)
+    basis = _reduce([list(col) for col in zip(*rows)], len(rows))
+    if len(basis) <= d:
+        return [], True
+    start = RMatrix([rows[i] for i in basis])
+    tight_on_start = sum(1 << i for i in basis)
+    rays = [
+        (
+            _primitive(solve_unique(start, [int(k == j) for k in range(d + 1)])),
+            tight_on_start & ~(1 << i),
+        )
+        for j, i in enumerate(basis)
+    ]
+    need = d - 1
+    for i in sorted(set(range(len(rows))) - set(basis)):
+        row, bit = rows[i], 1 << i
+        sides = [(ray, sum(map(mul, row, ray[0]))) for ray in rays]
+        kept = [(y, tight | bit if s == 0 else tight) for (y, tight), s in sides if s >= 0]
+        plus = [(ray, s) for ray, s in sides if s > 0]
+        minus = [(ray, s) for ray, s in sides if s < 0]
+        masks = [tight for _, tight in rays]
+        for (yp, tp), sp in plus:
+            for (yn, tn), sn in minus:
+                common = tp & tn
+                if common.bit_count() < need or [m & common for m in masks].count(common) > 2:
+                    continue
+                w = [sp * b - sn * a for a, b in zip(yp, yn)]
+                g = math.gcd(*w)
+                kept.append((tuple(x // g for x in w), common | bit))
+        rays = kept
+    points = [(y, tight) for y, tight in rays if y[0]]
+    scale = max((y[0] for y, _ in points), default=0) ** 2
+    points.sort(key=lambda p: [u * scale // p[0][0] for u in p[0][1:]])
+    return [(y, tight >> 1) for y, tight in points], len(points) < len(rays)

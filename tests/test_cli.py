@@ -1,4 +1,6 @@
 import hashlib
+import io
+import itertools
 import json
 import os
 import re
@@ -11,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import rng, rand_frame, rand_tree_frame
+from conftest import rng, rand_frame, rand_matrix, rand_tree_frame
 import nilmat
 from nilmat import cli
 from nilmat.cli import main
@@ -61,11 +63,26 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nope"])
     assert exc.value.code == 2
-    for option, value in (("--order", "1,x"), ("--partition", "1,,2")):
+    # int() would read other scripts' digits and underscores: "٢,1" as 2,1
+    for option, value in (
+        ("--order", "1,x"),
+        ("--partition", "1,,2"),
+        ("--order", "\u0662,1"),
+        ("--order", "1_0,1"),
+        ("--partition", "1|\uff12"),
+    ):
         with pytest.raises(SystemExit) as exc:
             main(["omega", "pattern", option, value])
         assert exc.value.code == 2
         assert f"argument {option}:" in capsys.readouterr().err
+    # an Arabic-Indic 5 and a fullwidth 2 would count (5, 2) and print 30
+    for command in ("count", "enumerate"):
+        for n, k, bad in (("x", "2", "--n"), ("\u0665", "2", "--n"), ("5", "\uff12", "--k")):
+            with pytest.raises(SystemExit) as exc:
+                main(["omega", command, "--n", n, "--k", k])
+            assert exc.value.code == 2
+            value = n if bad == "--n" else k
+            assert f"argument {bad}: invalid int value: {value!r}" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["q", "make-nilpotent", "--frame", "f.json", "--b", "b.json", "--alpha", "x"])
     assert exc.value.code == 2
@@ -314,6 +331,39 @@ def test_omega_pattern(capsys):
     assert code == 1 and "error:" in err
 
 
+def dumped(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_omega_pattern_writes_the_json_module_bytes(capsys):
+    """omega pattern joins its JSON by hand. For n <= 6, each of the 5,316
+    ordered partitions and each linear order must give the bytes of
+    json.dumps(..., indent=2, sort_keys=True) and a newline."""
+    for n in range(1, 7):
+        partitions = [p for k in range(1, n + 1) for p in omega.enumerate_partitions(n, k)]
+        orders = [omega.LinearOrder(seq) for seq in itertools.permutations(range(1, n + 1))]
+        cases = [("--partition", p, omega.pattern_from_partition(p)) for p in partitions]
+        cases += [("--order", o, omega.pattern_from_order(o)) for o in orders]
+        for option, label, pattern in cases:
+            code, out, _ = run(capsys, "omega", "pattern", option, str(label))
+            assert (code, out) == (0, dumped(pattern.to_json_dict()))
+
+
+def test_matrix_outputs_write_the_json_module_bytes():
+    # the writer of q iso, q iso --inverse and q make-nilpotent, on 1x1 to
+    # 7x7 matrices with negative, fractional and zero entries
+    r = rng(8)
+    entries = set()
+    for size in range(1, 8):
+        for _ in range(6):
+            m = rand_matrix(r, size)
+            out = io.StringIO()
+            cli._print_matrix(m, out)
+            assert out.getvalue() == dumped(m.to_json_dict())
+            entries.update(x for row in m.to_rows() for x in row)
+    assert min(entries) < 0 and 0 in entries and any(x.denominator > 1 for x in entries)
+
+
 def test_omega_member(tmp_path, capsys):
     pattern = tmp_path / "pattern.json"
     pattern.write_text(json.dumps({"n": 2, "bits": [[1, 2]]}))
@@ -378,6 +428,12 @@ COMMAND_ONLY = {"json", "nilmat.omega", "nilmat.polytope", "nilmat.qflag", "nilm
             "nilmat.omega",
             {"nilmat.polytope"},
             id="omega-count",
+        ),
+        pytest.param(
+            'import nilmat.cli; nilmat.cli.main(["omega", "pattern", "--partition", "1,3|2"])',
+            "nilmat.omega",
+            {"json", "nilmat.polytope"},
+            id="omega-pattern",
         ),
     ],
 )

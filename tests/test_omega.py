@@ -49,8 +49,11 @@ def test_linear_order_parsing_and_validation():
     for seq in (["1", "x"], ["1", "2"], [1.9, 2], [True, 2], [F(1), 2], 3):
         with pytest.raises(MatrixError, match="not a sequence of integers"):
             LinearOrder(seq)
-    with pytest.raises(MatrixError, match="not a comma-separated list of integers"):
-        LinearOrder.parse("1,2.5")
+    # int() reads other scripts' digits and underscores; the parser does not
+    for text in ("1,2.5", "\u0662,1", "1,\uff12", "1_0,1", "1,2,"):
+        with pytest.raises(MatrixError, match="not a comma-separated list of integers"):
+            LinearOrder.parse(text)
+    assert LinearOrder.parse(" 2, +1 ").seq == (2, 1)
 
 
 def test_ordered_partition_parsing_and_validation():
@@ -67,8 +70,9 @@ def test_ordered_partition_parsing_and_validation():
     for blocks in ([["x"]], [[1.5], [2]], [[1], [False, 2]], 5, [1, 2]):
         with pytest.raises(MatrixError, match="not a sequence of integers"):
             OrderedPartition(blocks)
-    with pytest.raises(MatrixError, match="not a comma-separated list of integers"):
-        OrderedPartition.parse("1|x")
+    for text in ("1|x", "1|\uff12", "\u0661|2", "1_0|2"):
+        with pytest.raises(MatrixError, match="not a comma-separated list of integers"):
+            OrderedPartition.parse(text)
 
 
 def test_pattern_from_order_examples():

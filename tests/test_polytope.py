@@ -23,7 +23,7 @@ from nilmat.polytope import (
 )
 from nilmat.qflag import FlagFrame, is_doubly_stochastic, iso_backward
 from nilmat.reference import DATASETS, reference_frame
-from polytope_oracles import inequalities, polytope_to_json_dict
+from polytope_oracles import full_basis_double_description, inequalities, polytope_to_json_dict
 
 F = Fraction
 
@@ -375,6 +375,16 @@ def seeded_frames(kind):
         return [rand_tree_frame(r, 5) for _ in range(60)]
     # the frames of the pinned "seeded-d6-dense" builds in test_cli.py
     return [rand_frame(rng(k), 5) for k in range(8)]
+
+
+@pytest.mark.parametrize("kind", ["dense-d3", "tree-d6", "dense-d6", "segment"])
+def test_double_description_matches_the_full_basis_oracle(kind):
+    """The pass starts from one vertex and its d edges; the oracle solves
+    the full (d + 1)-row basis. Both must give the same (ray, mask) list,
+    in the same order, and the same unbounded flag."""
+    frames = [FlagFrame.standard(3)] if kind == "segment" else seeded_frames(kind)
+    for h in map(build_h_polytope, frames):
+        assert polytope._run_double_description(h) == full_basis_double_description(h)
 
 
 @pytest.mark.parametrize("kind", ["dense-d3", "tree-d6", "dense-d6"])

@@ -1,9 +1,9 @@
 """Property tests for flag polytopes, vertex enumeration, boundedness and
 facets: the rows read off the frame against the unit-image construction,
 the double description routine against the brute-force oracles and the
-incidence facet rule against the per-row rank rule, on small random
-H-polytopes and on random flag polytopes; and the facet structure and
-OFF face orientation those polytopes must have."""
+full-basis pass, and the incidence facet rule against the per-row rank
+rule, on small random H-polytopes and on random flag polytopes; and the
+facet structure and OFF face orientation those polytopes must have."""
 
 import math
 from fractions import Fraction
@@ -15,6 +15,7 @@ from conftest import rng, rand_frame, rand_tree_frame
 from nilmat.exactmat import MatrixError
 from nilmat.polytope import (
     HPolytope,
+    _run_double_description,
     LinearInequality,
     VPolytope,
     build_h_polytope,
@@ -29,6 +30,7 @@ from nilmat.reference import reference_frame
 from polytope_oracles import (
     brute_force_is_bounded,
     brute_force_vertices,
+    full_basis_double_description,
     rank_facet_incidence,
     unit_image_polytope,
 )
@@ -100,6 +102,12 @@ def test_double_description_agrees_with_brute_force(h):
     assert v == VPolytope(h.d, brute_force_vertices(h))
     assert all(isinstance(x, Fraction) for p in v.vertices for x in p)
     assert is_bounded(h) == brute_force_is_bounded(h)
+
+
+@PROPERTY
+@given(h_polytopes())
+def test_double_description_matches_the_full_basis_oracle(h):
+    assert _run_double_description(h) == full_basis_double_description(h)
 
 
 def test_double_description_agrees_with_brute_force_at_d6():

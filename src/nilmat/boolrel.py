@@ -273,7 +273,7 @@ def is_maximal_nilpotent_pattern(pattern, kind="bn"):
     Limited to n <= 10, the bound of the partition enumeration.
     """
     if kind not in ("bn", "rook"):
-        raise MatrixError(f"unknown ambient kind: {kind!r}")
+        raise MatrixError(f"unknown ambient kind: {_shown(kind)}")
     n = pattern.n
     if n > _MAXIMALITY_MAX_N:
         raise MatrixError(f"maximality test limited to n <= {_MAXIMALITY_MAX_N}")

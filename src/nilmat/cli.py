@@ -312,8 +312,8 @@ def _ascii_ints(parser):
 class _LazySubcommands(argparse._SubParsersAction):
     """Subcommands whose parsers get their arguments on first use: add_parser
     takes a fill function, which runs on the command's parser the first time
-    the command is chosen, so that a command line fills only the parsers it
-    names."""
+    the command is chosen, so that a command line fills only the parser of
+    the command it names, and that command's subcommands with it."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -330,10 +330,6 @@ class _LazySubcommands(argparse._SubParsersAction):
         super().__call__(parser, namespace, values, option_string)
 
 
-def _subcommands(parser, dest):
-    return parser.add_subparsers(dest=dest, required=True, action=_LazySubcommands)
-
-
 def build_parser():
     """The root parser and its five commands. A command's arguments, and the
     subcommands of omega, q and polytope, are added when it is first chosen."""
@@ -344,7 +340,7 @@ def build_parser():
             "doubly stochastic matrix semigroups."
         ),
     )
-    sub = _subcommands(parser, "command")
+    sub = parser.add_subparsers(dest="command", required=True, action=_LazySubcommands)
     sub.add_parser(
         "nilcheck", fill=_fill_nilcheck, help="nilpotency class of a matrix in a chosen ambient"
     )
@@ -375,118 +371,79 @@ def _fill_omega(p):
     global omega
     from . import omega
 
-    sub = _subcommands(p, "subcommand")
-    sub.add_parser(
-        "count", fill=_fill_omega_count, help="number of maximal nilpotent subsemigroups of class k"
-    )
-    sub.add_parser(
-        "enumerate", fill=_fill_omega_enumerate, help="ordered partitions of {1..n} into k blocks"
-    )
-    sub.add_parser(
-        "pattern", fill=_fill_omega_pattern, help="support pattern of an order or ordered partition"
-    )
-    sub.add_parser(
-        "member", fill=_fill_omega_member, help="membership of a matrix in a pattern subsemigroup"
-    )
+    sub = p.add_subparsers(dest="subcommand", required=True)
+    c = sub.add_parser("count", help="number of maximal nilpotent subsemigroups of class k")
+    _ascii_ints(c)
+    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--k", type=int, required=True)
+    c.set_defaults(func=_cmd_omega_count)
 
+    e = sub.add_parser("enumerate", help="ordered partitions of {1..n} into k blocks")
+    _ascii_ints(e)
+    e.add_argument("--n", type=int, required=True)
+    e.add_argument("--k", type=int, required=True)
+    e.add_argument("--json", help="write a JSON file instead of text lines")
+    e.set_defaults(func=_cmd_omega_enumerate)
 
-def _fill_omega_count(p):
-    _ascii_ints(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_omega_count)
-
-
-def _fill_omega_enumerate(p):
-    _ascii_ints(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--json", help="write a JSON file instead of text lines")
-    p.set_defaults(func=_cmd_omega_enumerate)
-
-
-def _fill_omega_pattern(p):
-    p.add_argument(
+    pat = sub.add_parser("pattern", help="support pattern of an order or ordered partition")
+    pat.add_argument(
         "--order", type=_usage_checked(omega.LinearOrder.parse), help='linear order like "2,3,1"'
     )
-    p.add_argument(
+    pat.add_argument(
         "--partition",
         type=_usage_checked(omega.OrderedPartition.parse),
         help='ordered partition like "1,3|2"',
     )
-    p.set_defaults(func=_cmd_omega_pattern)
+    pat.set_defaults(func=_cmd_omega_pattern)
 
-
-def _fill_omega_member(p):
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--kind", required=True, choices=list(omega.KINDS))
-    p.set_defaults(func=_cmd_omega_member)
+    m = sub.add_parser("member", help="membership of a matrix in a pattern subsemigroup")
+    m.add_argument("--pattern", required=True)
+    m.add_argument("--matrix", required=True)
+    m.add_argument("--kind", required=True, choices=list(omega.KINDS))
+    m.set_defaults(func=_cmd_omega_member)
 
 
 def _fill_q(p):
     global qflag
     from . import qflag
 
-    sub = _subcommands(p, "subcommand")
-    sub.add_parser("iso", fill=_fill_q_iso, help="reduce by a frame, or embed with --inverse")
-    sub.add_parser(
-        "member", fill=_fill_q_member, help="membership in a flag's nilpotent subsemigroup"
-    )
-    sub.add_parser(
-        "nilclass", fill=_fill_q_nilclass, help="nilpotency class relative to the flat matrix"
-    )
-    sub.add_parser(
-        "make-nilpotent",
-        fill=_fill_q_make_nilpotent,
-        help="doubly stochastic nilpotent from a reduced matrix",
-    )
+    sub = p.add_subparsers(dest="subcommand", required=True)
+    iso = sub.add_parser("iso", help="reduce by a frame, or embed with --inverse")
+    iso.add_argument("--frame", required=True)
+    iso.add_argument("--matrix", required=True)
+    iso.add_argument("--inverse", action="store_true")
+    iso.set_defaults(func=_cmd_q_iso)
 
+    m = sub.add_parser("member", help="membership in a flag's nilpotent subsemigroup")
+    m.add_argument("--frame", required=True)
+    m.add_argument("--matrix", required=True)
+    m.add_argument("--doubly-stochastic", action="store_true")
+    m.set_defaults(func=_cmd_q_member)
 
-def _fill_q_iso(p):
-    p.add_argument("--frame", required=True)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--inverse", action="store_true")
-    p.set_defaults(func=_cmd_q_iso)
+    nc = sub.add_parser("nilclass", help="nilpotency class relative to the flat matrix")
+    nc.add_argument("--matrix", required=True)
+    nc.set_defaults(func=_cmd_nilcheck, ambient="q")
 
-
-def _fill_q_member(p):
-    p.add_argument("--frame", required=True)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--doubly-stochastic", action="store_true")
-    p.set_defaults(func=_cmd_q_member)
-
-
-def _fill_q_nilclass(p):
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(func=_cmd_nilcheck, ambient="q")
-
-
-def _fill_q_make_nilpotent(p):
-    p.add_argument("--frame", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument(
+    mk = sub.add_parser("make-nilpotent", help="doubly stochastic nilpotent from a reduced matrix")
+    mk.add_argument("--frame", required=True)
+    mk.add_argument("--b", required=True)
+    mk.add_argument(
         "--alpha", type=_usage_checked(parse_rational), help='exact rational like "1/16"'
     )
-    p.set_defaults(func=_cmd_q_make_nilpotent)
+    mk.set_defaults(func=_cmd_q_make_nilpotent)
 
 
 def _fill_polytope(p):
     global polytope, qflag
     from . import polytope, qflag
 
-    sub = _subcommands(p, "subcommand")
-    sub.add_parser(
-        "build", fill=_fill_polytope_build, help="inequalities, vertices, census, exports"
-    )
-
-
-def _fill_polytope_build(p):
-    p.add_argument("--frame", required=True)
-    p.add_argument("--out", help="write exact JSON here")
-    p.add_argument("--off", help="write an approximate OFF mesh here")
-    p.add_argument("--census", action="store_true")
-    p.set_defaults(func=_cmd_polytope_build)
+    sub = p.add_subparsers(dest="subcommand", required=True)
+    b = sub.add_parser("build", help="inequalities, vertices, census, exports")
+    b.add_argument("--frame", required=True)
+    b.add_argument("--out", help="write exact JSON here")
+    b.add_argument("--off", help="write an approximate OFF mesh here")
+    b.add_argument("--census", action="store_true")
+    b.set_defaults(func=_cmd_polytope_build)
 
 
 def _fill_verify(p):

@@ -26,10 +26,9 @@ ONE = Fraction(1)
 # than exhaust memory
 MAX_ENTRIES = 10**6
 
-# ASCII: \d alone would also match other scripts' digits, which int() reads
+# ASCII: \d alone would also match other scripts' digits, which int() reads,
+# as it reads underscores between digits
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?\Z", re.ASCII)
-# int() also reads underscores between digits
-_INT_RE = re.compile(r"[+-]?\d+\Z", re.ASCII)
 
 
 class MatrixError(ValueError):
@@ -46,12 +45,11 @@ class SingularMatrix(MatrixError):
 
 def _parse_int(text):
     """The int of an integer literal: a str of ASCII digits with an
-    optional sign and surrounding whitespace. Anything else is a
-    MatrixError, and more digits than int() accepts its ValueError."""
-    s = text.strip()
-    if not _INT_RE.match(s):
+    optional sign and surrounding whitespace. Anything else, more digits
+    than int() accepts included, is a MatrixError."""
+    if "/" in text:
         raise MatrixError(f"not an integer literal: {text!r}")
-    return int(s)
+    return _parse_pair(text)[0]
 
 
 def _parse_pair(text):

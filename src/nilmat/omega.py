@@ -166,7 +166,7 @@ def membership(a, pattern, kind="omega"):
     support must sit inside the pattern.
     """
     if kind not in KINDS:
-        raise MatrixError(f"unknown semigroup kind: {kind!r}")
+        raise MatrixError(f"unknown semigroup kind: {_shown(kind)}")
     if not a.is_square or a.rows != pattern.n:
         raise MatrixError("matrix size must match the pattern size")
     if kind in ("omega", "m0plus") and a.min_entry() < 0:

@@ -142,12 +142,13 @@ class VPolytope:
 def upper_triangle_positions(size):
     """Row-major strictly upper triangular positions of a size x size
     matrix; this fixes the parameter order."""
+    size = _size(size)
     return [(i, j) for i in range(size) for j in range(i + 1, size)]
 
 
 def matrix_from_params(size, x):
     """Strictly upper triangular matrix with the given parameters."""
-    positions = upper_triangle_positions(_size(size))
+    positions = upper_triangle_positions(size)
     # a string or a dict would iterate as characters or keys
     if not isinstance(x, (tuple, list)):
         raise MatrixError("matrix parameters must be a tuple or list")

@@ -8,7 +8,7 @@ frame matrices alone and diffs against these constants.
 
 from fractions import Fraction
 
-from .exactmat import MatrixError, RMatrix, format_rational
+from .exactmat import MatrixError, RMatrix, _shown, format_rational
 from .polytope import build_h_polytope, enumerate_vertices, facet_census
 from .qflag import FlagFrame
 
@@ -92,8 +92,21 @@ DATASETS = {
 }
 
 
+def _dataset(name):
+    if not isinstance(name, str):
+        raise MatrixError(f"dataset name must be a string, got {type(name).__name__}")
+    if name not in DATASETS:
+        raise MatrixError(f"unknown verification dataset: {name!r}")
+    return DATASETS[name]
+
+
 def reference_frame(name="example1", which="frame-a"):
-    return _frame(DATASETS[name][which])
+    frames = _dataset(name)
+    # frames are named by strings, and an unhashable which must not reach
+    # the dict lookup
+    if not isinstance(which, str) or which not in frames:
+        raise MatrixError(f"unknown frame of {name}: {_shown(which)}")
+    return _frame(frames[which])
 
 
 def _frame(entry):
@@ -176,9 +189,5 @@ def _fmt_census(census):
 
 def verify(name="example1"):
     """Run all checks for a named dataset; (all_ok, checks)."""
-    if not isinstance(name, str):
-        raise MatrixError(f"dataset name must be a string, got {type(name).__name__}")
-    if name not in DATASETS:
-        raise MatrixError(f"unknown verification dataset: {name!r}")
-    checks = run_checks(DATASETS[name])
+    checks = run_checks(_dataset(name))
     return all(c["ok"] for c in checks), checks

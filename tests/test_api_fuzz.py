@@ -22,13 +22,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilmat import reference
-from nilmat.boolrel import BoolMatrix
+from nilmat.boolrel import BoolMatrix, is_maximal_nilpotent_pattern
 from nilmat.exactmat import MatrixError, RMatrix, format_rational, parse_rational
 from nilmat.omega import (
+    KINDS,
     LinearOrder,
     OrderedPartition,
     count_max_nilpotent,
     iter_ordered_partitions,
+    membership,
 )
 from nilmat.polytope import (
     HPolytope,
@@ -37,6 +39,7 @@ from nilmat.polytope import (
     build_h_polytope,
     export_polytope,
     matrix_from_params,
+    upper_triangle_positions,
 )
 from nilmat.qflag import FlagFrame, make_stochastic_nilpotent, q_zero, scale_toward_zero
 
@@ -205,6 +208,23 @@ CALLS = {
         args(st.integers(1, 60), small, st.integers(0, 50)),
     ),
     "iter_ordered_partitions": (iter_ordered_partitions, NONE, args(small, small)),
+    "membership": (
+        membership,
+        st.sampled_from(
+            [
+                [RMatrix([[0, 1], [0, 0]]), BoolMatrix.from_pairs(2, [(0, 1)])],
+                [RMatrix([[0, -1, 0], [0, 0, 2], [0, 0, 0]]), BoolMatrix.full(3)],
+            ]
+        ),
+        args(st.sampled_from(KINDS)),
+    ),
+    "is_maximal_nilpotent_pattern": (
+        is_maximal_nilpotent_pattern,
+        st.sampled_from(
+            [[BoolMatrix.from_pairs(3, [(0, 1), (0, 2), (1, 2)])], [BoolMatrix.empty(2)]]
+        ),
+        args(st.sampled_from(["bn", "rook"])),
+    ),
     "FlagFrame.standard": (
         FlagFrame.standard,
         NONE,
@@ -223,6 +243,7 @@ CALLS = {
         args(st.sampled_from([None, "1/16", "1/4", 8])),
     ),
     "matrix_from_params": (matrix_from_params, NONE, sized(_params)),
+    "upper_triangle_positions": (upper_triangle_positions, NONE, args(small)),
     "HPolytope": (_hpolytope, NONE, sized(_inequalities)),
     "VPolytope": (VPolytope, NONE, sized(_vertices)),
     "export_polytope": (
@@ -231,6 +252,11 @@ CALLS = {
         args(st.sampled_from(["json", "off"])),
     ),
     "reference.verify": (reference.verify, NONE, args(st.just("example1"))),
+    "reference.reference_frame": (
+        reference.reference_frame,
+        NONE,
+        args(st.just("example1"), st.sampled_from(["frame-a", "frame-b"])),
+    ),
 }
 
 
@@ -263,6 +289,8 @@ def _scaled(alpha):
         lambda: BoolMatrix.from_json_dict({"n": 2, "bits": [[TOO_LONG]]}),
         lambda: _scaled(TOO_LONG),
         lambda: _scaled(Fraction(TOO_LONG, 3)),
+        lambda: membership(RMatrix.identity(2), BoolMatrix.full(2), TOO_LONG),
+        lambda: is_maximal_nilpotent_pattern(BoolMatrix.empty(2), TOO_LONG),
     ],
     ids=[
         "HPolytope",
@@ -271,6 +299,8 @@ def _scaled(alpha):
         "pattern-pair",
         "alpha-int",
         "alpha-fraction",
+        "membership-kind",
+        "maximality-kind",
     ],
 )
 def test_messages_quoting_an_int_too_long_to_write_are_matrix_errors(call):

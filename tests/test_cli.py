@@ -803,6 +803,22 @@ def test_verify_refuses_dataset_names_that_are_not_strings(name):
         reference.verify(name)
 
 
+@pytest.mark.parametrize(
+    "name, which, message",
+    [
+        ("x", "frame-a", "unknown verification dataset: 'x'"),
+        (None, "frame-a", "dataset name must be a string, got NoneType"),
+        ("example1", "frame-c", "unknown frame of example1: 'frame-c'"),
+        ("example1", None, "unknown frame of example1: None"),
+        ("example1", ["frame-a"], r"unknown frame of example1: \['frame-a'\]"),
+    ],
+    ids=["unknown-dataset", "dataset-None", "unknown-frame", "frame-None", "frame-list"],
+)
+def test_reference_frame_refuses_unknown_datasets_and_frames(name, which, message):
+    with pytest.raises(MatrixError, match=message):
+        reference.reference_frame(name, which)
+
+
 def test_verify_detects_tampering():
     tampered = {
         which: {

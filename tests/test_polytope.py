@@ -128,6 +128,12 @@ def test_parameter_positions_are_row_major():
     assert matrix_from_params(3, [5, "7", F(11)]) == m
 
 
+@pytest.mark.parametrize("size", [None, 1.5, True, -3, 0, 1001], ids=repr)
+def test_parameter_positions_refuse_sizes_that_are_not_matrix_sizes(size):
+    with pytest.raises(MatrixError, match="matrix|matrices"):
+        upper_triangle_positions(size)
+
+
 @pytest.mark.parametrize(
     "size, x",
     [

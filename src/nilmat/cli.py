@@ -346,9 +346,7 @@ def build_parser():
     )
     sub.add_parser("omega", fill=_fill_omega, help="patterns and counts in the nonnegative ambient")
     sub.add_parser("q", fill=_fill_q, help="the unit row/column sum ambient")
-    sub.add_parser(
-        "polytope", fill=_fill_polytope, help="doubly stochastic polytopes of complete flags"
-    )
+    sub.add_parser("polytope", fill=_fill_polytope, help="doubly stochastic polytopes of flags")
     sub.add_parser("verify", fill=_fill_verify, help="recompute a bundled dataset and diff")
     return parser
 

@@ -468,6 +468,9 @@ def solve_unique(m, rhs):
     """Solve a square system exactly; None when the matrix is singular."""
     if not m.is_square:
         raise DimensionMismatch("solve_unique needs a square matrix")
+    # a string or a dict would iterate as characters or keys
+    if not isinstance(rhs, (tuple, list)):
+        raise MatrixError("right-hand side must be a tuple or list")
     if len(rhs) != m.rows:
         raise DimensionMismatch("right-hand side length must equal row count")
     n = m.rows

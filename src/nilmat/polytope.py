@@ -1,12 +1,12 @@
 """Exact polytopes cut out by entry nonnegativity of flag members.
 
-Identify a strictly upper triangular (n-1)-matrix with its parameter
-vector (row-major upper-triangle order). Pushing it through a complete
-flag frame gives an affine function per matrix entry, and requiring every
-entry to be nonnegative yields an inequality system: the double stochastic
-members of the flag subsemigroup form a convex polytope in parameter
-space. Everything here stays in exact rational arithmetic; only the OFF
-mesh export writes decimal approximations.
+Identify a strictly block upper triangular (n-1)-matrix with its parameter
+vector, its entries on the flag frame's positions in row-major order.
+Pushing it through the frame gives an affine function per matrix entry,
+and requiring every entry to be nonnegative yields an inequality system:
+the doubly stochastic members of the flag subsemigroup form a convex
+polytope in parameter space. Everything here stays in exact rational
+arithmetic; only the OFF mesh export writes decimal approximations.
 """
 
 import math
@@ -24,7 +24,6 @@ from .exactmat import (
     _rational,
     _reduce,
     _shown,
-    _size,
     solve_unique,
     ZERO,
 )
@@ -41,7 +40,10 @@ class LinearInequality(namedtuple("LinearInequality", "constant coeffs")):
     __slots__ = ()
 
     def evaluate(self, point):
-        return self.constant + sum(map(mul, self.coeffs, point))
+        # a string or a dict would iterate as characters or keys
+        if not isinstance(point, (tuple, list)) or len(point) != len(self.coeffs):
+            raise MatrixError("point must be a tuple or list of the inequality's arity")
+        return self.constant + sum(map(mul, self.coeffs, map(_rational, point)))
 
 
 def _check_dimension(d):
@@ -139,22 +141,16 @@ class VPolytope:
         return f"VPolytope(d={self.d}, {len(self.rays)} vertices)"
 
 
-def upper_triangle_positions(size):
-    """Row-major strictly upper triangular positions of a size x size
-    matrix; this fixes the parameter order."""
-    size = _size(size)
-    return [(i, j) for i in range(size) for j in range(i + 1, size)]
-
-
-def matrix_from_params(size, x):
-    """Strictly upper triangular matrix with the given parameters."""
-    positions = upper_triangle_positions(size)
+def matrix_from_params(frame, x):
+    """The reduced matrix with the parameters x on the frame's positions."""
     # a string or a dict would iterate as characters or keys
     if not isinstance(x, (tuple, list)):
         raise MatrixError("matrix parameters must be a tuple or list")
     x = [_rational(v) for v in x]
+    positions = frame.positions
     if len(x) != len(positions):
         raise MatrixError(f"expected {len(positions)} parameters, got {len(x)}")
+    size = frame.n - 1
     rows = [[ZERO] * size for _ in range(size)]
     for (i, j), v in zip(positions, x):
         rows[i][j] = v
@@ -163,7 +159,7 @@ def matrix_from_params(size, x):
 
 def build_h_polytope(frame):
     """Entry-nonnegativity inequalities of the flag subsemigroup's doubly
-    stochastic part, in the triangle parameters.
+    stochastic part, in the parameters on the frame's positions.
 
     The member with parameters x is F diag(1, B(x)) F^-1. F's first column
     is all ones and F^-1's first row is flat 1/n, so entry (r, s) is the
@@ -174,12 +170,10 @@ def build_h_polytope(frame):
     its gcd divided out to be canonical. Entries with no parameter
     dependence give the vacuous inequality 1/n >= 0 and are dropped.
     """
-    if not frame.is_complete:
-        raise MatrixError("polytope construction needs a complete flag")
     n = frame.n
-    positions = upper_triangle_positions(n - 1)
+    positions = frame.positions
     if not positions:
-        raise MatrixError("no triangle parameters below size 3")
+        raise MatrixError(f"a flag with the one block 1..{n - 1} has no polytope parameters")
     f, f_inv = frame.f, frame.f_inv
     ab = f._den * f_inv._den
     assert all(n * x == f_inv._den for x in f_inv._num[0])

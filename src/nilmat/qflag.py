@@ -9,6 +9,7 @@ inside the zero-sum hyperplane and become strictly block upper triangular
 on the other side of the identification.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from operator import mul
 
@@ -87,9 +88,14 @@ class FlagFrame:
     dims lists the strictly increasing dimension breakpoints of the flag,
     ending at n-1. The i-th flag subspace is spanned by basis columns
     2 .. dims[i]+1.
+
+    positions holds the flag's block pattern: the 0-based reduced positions
+    (i, j), in row-major order, whose coordinates lie in different blocks,
+    i before j. They are the support a member's reduced matrix may have and
+    the parameters of the flag's polytope.
     """
 
-    __slots__ = ("f", "f_inv", "dims", "_block_of")
+    __slots__ = ("f", "f_inv", "dims", "positions")
 
     def __init__(self, f, dims):
         if not f.is_square or f.rows < 2:
@@ -115,22 +121,15 @@ class FlagFrame:
         self.f = f
         self.f_inv = f_inv
         self.dims = dims
-        block_of = {}
-        for j in range(1, n):
-            block_of[j] = next(i + 1 for i, d in enumerate(dims) if j <= d)
-        self._block_of = block_of
+        # reduced coordinate j lies in block bisect_right(dims, j), 0-based
+        block = [bisect_right(dims, j) for j in range(n - 1)]
+        self.positions = tuple(
+            (i, j) for i in range(n - 1) for j in range(i + 1, n - 1) if block[i] < block[j]
+        )
 
     @property
     def n(self):
         return self.f.rows
-
-    @property
-    def is_complete(self):
-        return self.dims == tuple(range(1, self.n))
-
-    def block_of(self, j):
-        """1-based block index of reduced coordinate j (1 <= j <= n-1)."""
-        return self._block_of[j]
 
     @classmethod
     def standard(cls, n, dims=None):
@@ -211,9 +210,7 @@ def is_strictly_block_upper(b, frame):
     """Does a reduced (n-1)-matrix respect the frame's block pattern?"""
     if b.rows != frame.n - 1 or b.cols != frame.n - 1:
         raise DimensionMismatch("reduced matrix must have size n-1")
-    return all(
-        frame.block_of(i + 1) < frame.block_of(j + 1) for i, j in b.nonzero_positions()
-    )
+    return set(frame.positions).issuperset(b.nonzero_positions())
 
 
 def nilpotency_class(a):

@@ -4,6 +4,7 @@ import contextlib
 import random
 import warnings
 from fractions import Fraction
+from itertools import combinations
 
 from nilmat.exactmat import RMatrix, MatrixError, ZERO, ONE
 from nilmat.qflag import FlagFrame, iso_backward
@@ -56,6 +57,12 @@ def rand_nonsingular(r, n, lo=-3, hi=3, max_den=2):
         return m
 
 
+def all_dims(n):
+    """Every flag's dims at size n: the breakpoints inside 1..n-2, then n-1."""
+    inner = range(1, n - 1)
+    return [c + (n - 1,) for k in range(n - 1) for c in combinations(inner, k)]
+
+
 def rand_frame(r, n, dims=None):
     """Random frame: all-ones column plus small-integer zero-sum columns."""
     while True:
@@ -97,10 +104,9 @@ def rand_block_upper(r, frame, density=0.7, lo=-2, hi=2, max_den=2):
     """Random reduced matrix respecting the frame's block pattern."""
     size = frame.n - 1
     rows = [[ZERO] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            if frame.block_of(i + 1) < frame.block_of(j + 1) and r.random() < density:
-                rows[i][j] = rand_fraction(r, lo, hi, max_den)
+    for i, j in frame.positions:
+        if r.random() < density:
+            rows[i][j] = rand_fraction(r, lo, hi, max_den)
     return RMatrix(rows)
 
 

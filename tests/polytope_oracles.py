@@ -130,11 +130,11 @@ def unit_image_polytope(frame):
     the t-th unit parameter vector, less 1/n, is that entry's coefficient
     of x_t."""
     n = frame.n
-    d = (n - 1) * (n - 2) // 2
+    d = len(frame.positions)
     inv_n = Fraction(1, n)
-    assert iso_backward(matrix_from_params(n - 1, [ZERO] * d), frame) == q_zero(n)
+    assert iso_backward(matrix_from_params(frame, [ZERO] * d), frame) == q_zero(n)
     unit_images = [
-        iso_backward(matrix_from_params(n - 1, [ONE if k == t else ZERO for k in range(d)]), frame)
+        iso_backward(matrix_from_params(frame, [ONE if k == t else ZERO for k in range(d)]), frame)
         for t in range(d)
     ]
     rows = []

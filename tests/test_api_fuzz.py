@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilmat import reference
 from nilmat.boolrel import BoolMatrix, is_maximal_nilpotent_pattern
-from nilmat.exactmat import MatrixError, RMatrix, format_rational, parse_rational
+from nilmat.exactmat import MatrixError, RMatrix, format_rational, parse_rational, solve_unique
 from nilmat.omega import (
     KINDS,
     LinearOrder,
@@ -39,7 +39,6 @@ from nilmat.polytope import (
     build_h_polytope,
     export_polytope,
     matrix_from_params,
-    upper_triangle_positions,
 )
 from nilmat.qflag import FlagFrame, make_stochastic_nilpotent, q_zero, scale_toward_zero
 
@@ -140,11 +139,6 @@ def _pattern_docs():
     return st.integers(1, 4).flatmap(doc)
 
 
-def _params(size):
-    count = size * (size - 1) // 2
-    return st.lists(literals, min_size=count, max_size=count)
-
-
 def _vertices(d):
     return st.lists(row_lists(rows=1, cols=d).map(lambda r: r[0]), max_size=4)
 
@@ -242,8 +236,26 @@ CALLS = {
         st.just([FlagFrame.standard(3), RMatrix([[0, 1], [0, 0]])]),
         args(st.sampled_from([None, "1/16", "1/4", 8])),
     ),
-    "matrix_from_params": (matrix_from_params, NONE, sized(_params)),
-    "upper_triangle_positions": (upper_triangle_positions, NONE, args(small)),
+    # 3, 2 and 1 positions: a list of another length meets the count check
+    "matrix_from_params": (
+        matrix_from_params,
+        st.sampled_from(
+            [[FlagFrame.standard(4)], [FlagFrame.standard(4, dims=[1, 3])], [FlagFrame.standard(3)]]
+        ),
+        args(st.lists(literals, min_size=1, max_size=3)),
+    ),
+    "solve_unique": (
+        solve_unique,
+        st.sampled_from([[RMatrix.identity(2)], [RMatrix([[1, 1], [2, 2]])]]),
+        args(st.lists(literals, min_size=2, max_size=2)),
+    ),
+    "LinearInequality.evaluate": (
+        LinearInequality.evaluate,
+        st.sampled_from(
+            [[LinearInequality(1, (1, 1))], [LinearInequality(Fraction(1, 2), (2, -3))]]
+        ),
+        args(st.lists(literals, min_size=2, max_size=2)),
+    ),
     "HPolytope": (_hpolytope, NONE, sized(_inequalities)),
     "VPolytope": (VPolytope, NONE, sized(_vertices)),
     "export_polytope": (

@@ -238,6 +238,10 @@ def test_solve_unique_and_singularity():
     assert sol == (F(1), F(3))
     assert mat_vec(a, sol) == (F(5), F(10))
     assert solve_unique(RMatrix([[1, 1], [2, 2]]), [1, 2]) is None
+    # a string or a dict would iterate as characters or keys
+    for rhs in (None, 5, {0: 1, 1: 2}, "12"):
+        with pytest.raises(MatrixError, match="^right-hand side must be a tuple or list$"):
+            solve_unique(a, rhs)
 
 
 def test_rank_and_null_space():

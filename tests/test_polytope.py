@@ -19,7 +19,6 @@ from nilmat.polytope import (
     facet_incidence,
     is_bounded,
     matrix_from_params,
-    upper_triangle_positions,
 )
 from nilmat.qflag import FlagFrame, is_doubly_stochastic, iso_backward
 from nilmat.reference import DATASETS, reference_frame
@@ -76,6 +75,17 @@ def test_linear_inequality_keeps_its_value_semantics():
     assert a == (F(1), (F(1, 2), F(-3)))
 
 
+@pytest.mark.parametrize(
+    "point",
+    [[1], [1, 2, 3], [1.5, 1], [True, 1], None, "12", {0: 1, 1: 1}],
+    ids=["short", "long", "float", "bool", "none", "str", "dict"],
+)
+def test_evaluate_refuses_points_of_another_length_or_inexact_entries(point):
+    with pytest.raises(MatrixError):
+        LinearInequality(1, (1, 1)).evaluate(point)
+    assert LinearInequality(1, (1, 1)).evaluate(["1/2", 1]) == F(5, 2)
+
+
 def test_hpolytope_deduplicates():
     h = HPolytope(2, [ineq(1, 2, 0), ineq(F(1, 2), 1, 0), ineq(1, 0, 1)])
     assert h.rows == ((1, 0, 1), (1, 2, 0))
@@ -120,36 +130,42 @@ def test_constructors_refuse_malformed_input(build):
 
 
 def test_parameter_positions_are_row_major():
-    assert upper_triangle_positions(3) == [(0, 1), (0, 2), (1, 2)]
-    m = matrix_from_params(3, [F(5), F(7), F(11)])
+    frame = FlagFrame.standard(4)
+    assert frame.positions == ((0, 1), (0, 2), (1, 2))
+    m = matrix_from_params(frame, [F(5), F(7), F(11)])
     assert m == RMatrix([[0, 5, 7], [0, 0, 11], [0, 0, 0]])
     with pytest.raises(MatrixError):
-        matrix_from_params(3, [F(1)])
-    assert matrix_from_params(3, [5, "7", F(11)]) == m
+        matrix_from_params(frame, [F(1)])
+    assert matrix_from_params(frame, [5, "7", F(11)]) == m
+    partial = FlagFrame.standard(4, dims=[2, 3])
+    assert partial.positions == ((0, 2), (1, 2))
+    assert matrix_from_params(partial, [5, 7]) == RMatrix([[0, 0, 5], [0, 0, 7], [0, 0, 0]])
 
 
 @pytest.mark.parametrize("size", [None, 1.5, True, -3, 0, 1001], ids=repr)
 def test_parameter_positions_refuse_sizes_that_are_not_matrix_sizes(size):
+    # the positions come from a frame, and the frame refuses the size
     with pytest.raises(MatrixError, match="matrix|matrices"):
-        upper_triangle_positions(size)
+        FlagFrame.standard(size).positions
 
 
 @pytest.mark.parametrize(
     "size, x",
     [
-        (3, [0.5, 0.25, 1.5]),
-        (3, [True, 0, 1]),
-        ("3", [1, 2, 3]),
-        (3.0, [1, 2, 3]),
-        (3, "123"),
-        (3, None),
+        (4, [0.5, 0.25, 1.5]),
+        (4, [True, 0, 1]),
+        ("4", [1, 2, 3]),
+        (4.0, [1, 2, 3]),
+        (4, "123"),
+        (4, None),
         (10**20, []),
     ],
     ids=["float-params", "bool-param", "str-size", "float-size", "str-params", "none", "huge"],
 )
 def test_matrix_from_params_refuses_inexact_input(size, x):
+    # a size that is not a matrix size is refused by the frame it would give
     with pytest.raises(MatrixError):
-        matrix_from_params(size, x)
+        matrix_from_params(FlagFrame.standard(size), x)
 
 
 def test_build_h_polytope_reproduces_reference_systems():
@@ -166,11 +182,12 @@ def test_origin_is_interior():
         assert all(iq.evaluate(origin) > 0 for iq in inequalities(h))
 
 
-def test_build_rejects_partial_flags_and_tiny_frames():
-    with pytest.raises(MatrixError, match="^polytope construction needs a complete flag$"):
-        build_h_polytope(FlagFrame.standard(4, dims=[2, 3]))
-    with pytest.raises(MatrixError, match="^no triangle parameters below size 3$"):
-        build_h_polytope(FlagFrame.standard(2))
+def test_build_rejects_one_block_flags():
+    for n in (2, 3, 5):
+        with pytest.raises(
+            MatrixError, match=f"^a flag with the one block 1..{n - 1} has no polytope parameters$"
+        ):
+            build_h_polytope(FlagFrame.standard(n, dims=[n - 1]))
 
 
 def test_segment_polytope_for_smallest_usable_frame():
@@ -307,7 +324,7 @@ def test_feasibility_matches_double_stochasticity():
         points.append(tuple(F(r.randint(-4, 4), 4) for _ in range(3)))
     for x in points:
         feasible = all(iq.evaluate(x) >= 0 for iq in inequalities(h))
-        member = iso_backward(matrix_from_params(3, x), frame)
+        member = iso_backward(matrix_from_params(frame, x), frame)
         assert feasible == is_doubly_stochastic(member)
 
 

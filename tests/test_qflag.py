@@ -4,6 +4,7 @@ import pytest
 
 import exactmat_oracle as oracle
 from conftest import (
+    all_dims,
     rng,
     rand_block_upper,
     rand_frame,
@@ -12,6 +13,7 @@ from conftest import (
 )
 from nilmat import qflag
 from nilmat.exactmat import RMatrix, MatrixError
+from nilmat.omega import OrderedPartition, pattern_from_partition
 from nilmat.qflag import (
     FlagFrame,
     flag_membership,
@@ -98,18 +100,15 @@ def test_frame_validation():
         with pytest.raises(MatrixError, match="not a sequence of integers"):
             FlagFrame(big, dims)
     frame = FlagFrame(good, [1])
-    assert frame.is_complete
-    assert frame.block_of(1) == 1
+    assert frame.positions == ()
 
 
 def test_standard_frame_structure():
     frame = FlagFrame.standard(4)
-    assert frame.is_complete
     assert frame.dims == (1, 2, 3)
-    assert [frame.block_of(j) for j in (1, 2, 3)] == [1, 2, 3]
+    assert frame.positions == ((0, 1), (0, 2), (1, 2))
     partial = FlagFrame.standard(4, dims=[2, 3])
-    assert not partial.is_complete
-    assert [partial.block_of(j) for j in (1, 2, 3)] == [1, 1, 2]
+    assert partial.positions == ((0, 2), (1, 2))
     for size in (3.0, True, "3", None):
         with pytest.raises(MatrixError, match="matrix size must be an integer"):
             FlagFrame.standard(size)
@@ -168,6 +167,44 @@ def test_flag_membership_respects_partial_flags():
     assert flag_membership(iso_backward(across, frame), frame)
     assert is_strictly_block_upper(across, frame)
     assert not is_strictly_block_upper(inside_block, frame)
+
+
+def test_positions_are_the_omega_pattern_of_the_interval_partition():
+    # the flag's dims cut 1..n-1 into intervals; the ordered partition into
+    # those intervals labels the same pattern on the Omega side
+    for n in range(2, 8):
+        assert len(all_dims(n)) == 2 ** (n - 2)
+        for dims in all_dims(n):
+            blocks = [list(range(lo + 1, hi + 1)) for lo, hi in zip((0,) + dims, dims)]
+            pattern = pattern_from_partition(OrderedPartition(blocks))
+            assert list(FlagFrame.standard(n, dims).positions) == pattern.bits()
+
+
+def test_block_upper_test_agrees_with_the_block_rule():
+    def block(dims, j):
+        # 1-based block of 1-based reduced coordinate j, read off dims
+        # without FlagFrame.positions
+        return next(i + 1 for i, d in enumerate(dims) if j <= d)
+
+    r = rng(35)
+    seen = set()
+    for n in range(2, 7):
+        for dims in all_dims(n):
+            frame = FlagFrame.standard(n, dims)
+            for _ in range(12):
+                b = RMatrix(
+                    [
+                        [F(r.randint(1, 3)) if r.random() < 0.3 else F(0) for _ in range(n - 1)]
+                        for _ in range(n - 1)
+                    ]
+                )
+                expected = all(
+                    block(dims, i + 1) < block(dims, j + 1) for i, j in b.nonzero_positions()
+                )
+                assert is_strictly_block_upper(b, frame) == expected
+                assert is_strictly_block_upper(rand_block_upper(r, frame), frame)
+                seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_nilpotency_class_examples():

@@ -75,6 +75,8 @@ class BoolMatrix:
         return [(i, j) for i in range(self.n) for j in _set_bits(self.rows[i])]
 
     def has_bit(self, i, j):
+        if not (_is_int(i) and _is_int(j) and 0 <= i < self.n and 0 <= j < self.n):
+            raise MatrixError(f"bit ({_shown(i)}, {_shown(j)}) out of range for size {self.n}")
         return bool(self.rows[i] >> j & 1)
 
     def bit_count(self):

@@ -201,8 +201,6 @@ def _cmd_omega_enumerate(args, out):
 
 
 def _cmd_omega_pattern(args, out):
-    if (args.order is None) == (args.partition is None):
-        raise MatrixError("give exactly one of --order or --partition")
     if args.order is not None:
         pattern = omega.pattern_from_order(args.order)
     else:
@@ -384,10 +382,11 @@ def _fill_omega(p):
     e.set_defaults(func=_cmd_omega_enumerate)
 
     pat = sub.add_parser("pattern", help="support pattern of an order or ordered partition")
-    pat.add_argument(
+    one = pat.add_mutually_exclusive_group(required=True)
+    one.add_argument(
         "--order", type=_usage_checked(omega.LinearOrder.parse), help='linear order like "2,3,1"'
     )
-    pat.add_argument(
+    one.add_argument(
         "--partition",
         type=_usage_checked(omega.OrderedPartition.parse),
         help='ordered partition like "1,3|2"',

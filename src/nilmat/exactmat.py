@@ -132,6 +132,14 @@ def int_tuple(values):
     return values
 
 
+def _sequence(value, what):
+    """value, when it is a tuple or list; a string or a dict would iterate
+    as characters or keys."""
+    if not isinstance(value, (tuple, list)):
+        raise MatrixError(f"{what} must be a tuple or list")
+    return value
+
+
 def _shape(rows, cols):
     """(rows, cols) checked as the shape of a matrix to build: positive
     ints, not bools, with at most MAX_ENTRIES entries in all."""
@@ -224,12 +232,9 @@ class RMatrix:
 
     def __init__(self, rows_of_entries):
         try:
-            rows_of_entries = list(rows_of_entries)
+            rows_of_entries = [_sequence(row, "each matrix row") for row in rows_of_entries]
         except TypeError:
             raise MatrixError(f"not a sequence of matrix rows: {_shown(rows_of_entries)}") from None
-        # a string or a dict would iterate as characters or keys
-        if not all(isinstance(row, (tuple, list)) for row in rows_of_entries):
-            raise MatrixError("each matrix row must be a tuple or list")
         _normalised(*_ingested(rows_of_entries), self)
 
     @classmethod
@@ -413,7 +418,7 @@ class RMatrix:
 
 def mat_vec(m, vec):
     """Matrix times column vector, as a tuple of Fractions."""
-    if len(vec) != m.cols:
+    if len(_sequence(vec, "vector")) != m.cols:
         raise DimensionMismatch("vector length must equal column count")
     v, vden = _int_vector(vec)
     den = m._den * vden
@@ -468,10 +473,7 @@ def solve_unique(m, rhs):
     """Solve a square system exactly; None when the matrix is singular."""
     if not m.is_square:
         raise DimensionMismatch("solve_unique needs a square matrix")
-    # a string or a dict would iterate as characters or keys
-    if not isinstance(rhs, (tuple, list)):
-        raise MatrixError("right-hand side must be a tuple or list")
-    if len(rhs) != m.rows:
+    if len(_sequence(rhs, "right-hand side")) != m.rows:
         raise DimensionMismatch("right-hand side length must equal row count")
     n = m.rows
     b, bden = _int_vector(rhs)

@@ -23,6 +23,7 @@ from .exactmat import (
     _json_list,
     _rational,
     _reduce,
+    _sequence,
     _shown,
     solve_unique,
     ZERO,
@@ -40,15 +41,9 @@ class LinearInequality(namedtuple("LinearInequality", "constant coeffs")):
     __slots__ = ()
 
     def evaluate(self, point):
-        # a string or a dict would iterate as characters or keys
-        if not isinstance(point, (tuple, list)) or len(point) != len(self.coeffs):
+        if len(_sequence(point, "point")) != len(self.coeffs):
             raise MatrixError("point must be a tuple or list of the inequality's arity")
         return self.constant + sum(map(mul, self.coeffs, map(_rational, point)))
-
-
-def _check_dimension(d):
-    if not _is_int(d) or d < 1:
-        raise MatrixError("polytope dimension must be a positive integer")
 
 
 class HPolytope:
@@ -59,7 +54,8 @@ class HPolytope:
     __slots__ = ("d", "rows", "_dd")
 
     def __init__(self, d, inequalities):
-        _check_dimension(d)
+        if not _is_int(d) or d < 1:
+            raise MatrixError("polytope dimension must be a positive integer")
         try:
             inequalities = list(inequalities)
         except TypeError:
@@ -68,8 +64,7 @@ class HPolytope:
         for iq in inequalities:
             if not isinstance(iq, LinearInequality):
                 raise MatrixError(f"not a LinearInequality: {_shown(iq)}")
-            # a string or a dict would iterate as characters or keys
-            if not isinstance(iq.coeffs, (tuple, list)) or len(iq.coeffs) != d:
+            if len(_sequence(iq.coeffs, "inequality coefficients")) != d:
                 raise MatrixError("inequality arity does not match the dimension")
             rows.add(_primitive((iq.constant, *iq.coeffs)))
         self.d = d
@@ -91,32 +86,13 @@ class HPolytope:
         return f"HPolytope(d={self.d}, {len(self.rows)} inequalities)"
 
 
-def _vertex(v):
-    # a string or a dict would iterate as characters or keys
-    if not isinstance(v, (tuple, list)):
-        raise MatrixError("each polytope vertex must be a tuple or list")
-    return tuple(Fraction(_rational(x)) for x in v)
-
-
 class VPolytope:
-    """Vertex description in canonical form: `rays` holds each vertex x
-    once, as the primitive integer tuple (t, t x) with t > 0, in
-    lexicographic vertex order. `vertices` holds the same vertices as
-    Fraction tuples, built on first use."""
+    """Vertex description in canonical form, built only from the double
+    description's rays: `rays` holds each vertex x once, as the primitive
+    integer tuple (t, t x) with t > 0, in lexicographic vertex order.
+    `vertices` holds the same vertices as Fraction tuples, built on first use."""
 
     __slots__ = ("d", "rays", "_vertices")
-
-    def __init__(self, d, vertices):
-        _check_dimension(d)
-        try:
-            vs = sorted({_vertex(v) for v in vertices})
-        except TypeError:
-            raise MatrixError("each polytope vertex must be a sequence of rationals") from None
-        if any(len(v) != d for v in vs):
-            raise MatrixError("vertex arity does not match the dimension")
-        self.d = d
-        self.rays = tuple(_primitive((1,) + v) for v in vs)
-        self._vertices = tuple(vs)
 
     @classmethod
     def _from_rays(cls, d, rays):
@@ -143,10 +119,7 @@ class VPolytope:
 
 def matrix_from_params(frame, x):
     """The reduced matrix with the parameters x on the frame's positions."""
-    # a string or a dict would iterate as characters or keys
-    if not isinstance(x, (tuple, list)):
-        raise MatrixError("matrix parameters must be a tuple or list")
-    x = [_rational(v) for v in x]
+    x = [_rational(v) for v in _sequence(x, "matrix parameters")]
     positions = frame.positions
     if len(x) != len(positions):
         raise MatrixError(f"expected {len(positions)} parameters, got {len(x)}")
@@ -406,9 +379,9 @@ def _coordinates(ray):
     return texts
 
 
-def _decimal_str(value, digits=20):
+def _decimal_str(value):
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 20
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 

@@ -128,6 +128,11 @@ def _diff_sets(expected, actual, fmt):
     return "; ".join(parts)
 
 
+def _check(name, ok, detail, diff):
+    """One check dict; diff describes a failure and is blank on success."""
+    return {"name": name, "ok": ok, "detail": detail, "diff": "" if ok else diff}
+
+
 def run_checks(dataset):
     """Recompute each frame's polytope and diff against the dataset.
 
@@ -138,44 +143,30 @@ def run_checks(dataset):
     for which, entry in sorted(dataset.items()):
         h = build_h_polytope(_frame(entry))
         v = enumerate_vertices(h)
-        census = facet_census(h)
-
-        actual_ineqs = set(h.rows)
-        expected_ineqs = set(entry["inequalities"])
-        checks.append(
-            {
-                "name": f"{which} inequalities",
-                "ok": actual_ineqs == expected_ineqs,
-                "detail": f"{len(actual_ineqs)} canonical inequalities",
-                "diff": _diff_sets(expected_ineqs, actual_ineqs, _fmt_tuple),
-            }
-        )
-
-        actual_vertices = set(v.vertices)
-        expected_vertices = {
-            tuple(Fraction(x) for x in p) for p in entry["vertices"]
-        }
-        checks.append(
-            {
-                "name": f"{which} vertices",
-                "ok": actual_vertices == expected_vertices,
-                "detail": ", ".join(_fmt_tuple(p) for p in v.vertices),
-                "diff": _diff_sets(expected_vertices, actual_vertices, _fmt_tuple),
-            }
-        )
-
-        actual_census = dict(census)
-        expected_census = dict(entry["census"])
-        checks.append(
-            {
-                "name": f"{which} facet census",
-                "ok": actual_census == expected_census,
-                "detail": _fmt_census(actual_census),
-                "diff": ""
-                if actual_census == expected_census
-                else f"expected {_fmt_census(expected_census)}, got {_fmt_census(actual_census)}",
-            }
-        )
+        ineqs, want_ineqs = set(h.rows), set(entry["inequalities"])
+        vertices = set(v.vertices)
+        want_vertices = {tuple(Fraction(x) for x in p) for p in entry["vertices"]}
+        census, want_census = dict(facet_census(h)), dict(entry["census"])
+        checks += [
+            _check(
+                f"{which} inequalities",
+                ineqs == want_ineqs,
+                f"{len(ineqs)} canonical inequalities",
+                _diff_sets(want_ineqs, ineqs, _fmt_tuple),
+            ),
+            _check(
+                f"{which} vertices",
+                vertices == want_vertices,
+                ", ".join(_fmt_tuple(p) for p in v.vertices),
+                _diff_sets(want_vertices, vertices, _fmt_tuple),
+            ),
+            _check(
+                f"{which} facet census",
+                census == want_census,
+                _fmt_census(census),
+                f"expected {_fmt_census(want_census)}, got {_fmt_census(census)}",
+            ),
+        ]
     return checks
 
 

@@ -299,6 +299,15 @@ def test_malformed_boolmatrix_is_a_matrix_error(n, rows):
 
 
 @pytest.mark.parametrize(
+    "i, j", [(0, 99), (0, -1), (99, 0)], ids=["column-past-n", "negative", "row-past-n"]
+)
+def test_has_bit_refuses_positions_outside_the_matrix(i, j):
+    assert BoolMatrix.full(3).has_bit(0, 2)
+    with pytest.raises(MatrixError, match=r"^bit \(-?\d+, -?\d+\) out of range for size 3$"):
+        BoolMatrix.full(3).has_bit(i, j)
+
+
+@pytest.mark.parametrize(
     "n, pairs",
     [
         ("3", []),

@@ -327,8 +327,12 @@ def test_omega_pattern(capsys):
     assert code == 0
     assert json.loads(out) == {"n": 3, "bits": [[1, 2], [3, 2]]}
 
-    code, _, err = run(capsys, "omega", "pattern")
-    assert code == 1 and "error:" in err
+    # exactly one of the two options: neither or both is a usage error
+    for options in ([], ["--order", "2,1", "--partition", "1|2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["omega", "pattern", *options])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: ")
 
 
 def dumped(obj):

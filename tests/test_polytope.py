@@ -96,33 +96,12 @@ def test_hpolytope_deduplicates():
     [
         lambda: HPolytope(1.5, []),
         lambda: HPolytope(True, [ineq(1, 1)]),
-        lambda: VPolytope(1, [(0.5,)]),
-        lambda: VPolytope(1, [(True,)]),
-        lambda: VPolytope(1, [("1.5",)]),
-        lambda: VPolytope(1, [(" 1e3 ",)]),
-        lambda: VPolytope(1, [5]),
         lambda: HPolytope(1, [(1, 1)]),
         lambda: HPolytope(1, [5]),
         lambda: HPolytope(1, 5),
         lambda: HPolytope(1, [LinearInequality(F(1), 5)]),
-        lambda: VPolytope(2, ["12"]),
-        lambda: VPolytope(2, [{"1": 0, "2": 0}]),
     ],
-    ids=[
-        "float-d",
-        "bool-d",
-        "float-coord",
-        "bool-coord",
-        "decimal",
-        "exponent",
-        "bare-int",
-        "tuple-row",
-        "int-row",
-        "bare-int-rows",
-        "int-coeffs",
-        "string-vertex",
-        "dict-vertex",
-    ],
+    ids=["float-d", "bool-d", "tuple-row", "int-row", "bare-int-rows", "int-coeffs"],
 )
 def test_constructors_refuse_malformed_input(build):
     with pytest.raises(MatrixError):
@@ -382,12 +361,14 @@ def test_ray_built_vertices_equal_fraction_built_ones():
     for seed in range(4):
         h = build_h_polytope(rand_frame(rng(seed), 4))
         v = enumerate_vertices(h)
-        same = VPolytope(h.d, reversed(v.vertices))
-        assert same == v and same.rays == v.rays and same.vertices == v.vertices
-        for y, p in zip(v.rays, v.vertices):
+        assert isinstance(v, VPolytope) and v.d == h.d
+        assert list(v.vertices) == sorted(set(v.vertices))
+        for y, p in zip(v.rays, v.vertices, strict=True):
             assert y[0] > 0 and math.gcd(*y) == 1
             assert p == tuple(F(x, y[0]) for x in y[1:])
-    assert VPolytope(2, [(F(1, 2), 1), (F(-2, 3), F(1, 6))]).rays == ((6, -4, 1), (2, 1, 2))
+    # the double description is the only way to build one
+    with pytest.raises(TypeError):
+        VPolytope(2, [(1, 2)])
 
 
 def seeded_frames(kind):
@@ -420,7 +401,7 @@ def test_vertex_order_is_the_fraction_order(kind):
     for frame in seeded_frames(kind):
         h = build_h_polytope(frame)
         v = enumerate_vertices(h)
-        assert VPolytope(h.d, reversed(v.vertices)).rays == v.rays
+        assert list(v.vertices) == sorted(set(v.vertices))
         lcm_bits.append(math.lcm(*(y[0] for y in v.rays)).bit_length())
         key_bits.append((max(y[0] for y in v.rays) ** 2).bit_length())
     if kind == "dense-d6":

@@ -17,7 +17,6 @@ from nilmat.polytope import (
     HPolytope,
     _run_double_description,
     LinearInequality,
-    VPolytope,
     build_h_polytope,
     enumerate_vertices,
     export_polytope,
@@ -97,9 +96,7 @@ def test_rows_are_the_canonical_form(system, data):
 @given(h_polytopes())
 def test_double_description_agrees_with_brute_force(h):
     v = enumerate_vertices(h)
-    assert set(v.vertices) == brute_force_vertices(h)
-    # the pass's own order and types, with VPolytope's validation skipped
-    assert v == VPolytope(h.d, brute_force_vertices(h))
+    assert list(v.vertices) == sorted(brute_force_vertices(h))
     assert all(isinstance(x, Fraction) for p in v.vertices for x in p)
     assert is_bounded(h) == brute_force_is_bounded(h)
 
@@ -115,7 +112,7 @@ def test_double_description_agrees_with_brute_force_at_d6():
     # pass's adjacency count and integer-key sort meet the most rays
     r = rng(45)
     for h in (build_h_polytope(rand_tree_frame(r, 5)) for _ in range(3)):
-        assert enumerate_vertices(h) == VPolytope(h.d, brute_force_vertices(h))
+        assert list(enumerate_vertices(h).vertices) == sorted(brute_force_vertices(h))
 
 
 @PROPERTY

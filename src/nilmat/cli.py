@@ -46,7 +46,17 @@ def _write_files(exports):
     of byte chunks, replacing no target until all are written: each goes to
     a temporary sibling first, created with "x" so that its permissions
     follow the umask. Any error, one raised by a chunk iterator included,
-    removes every temporary and leaves every target as it was."""
+    removes every temporary and leaves every target as it was. Two exports
+    that name one file are refused before anything is written, since the
+    later one would replace the earlier."""
+    # realpath costs a few system calls per path, and one export cannot clash
+    if len(exports) > 1:
+        seen = set()
+        for path, _ in exports:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise MatrixError(f"two exports name one file: {path}")
+            seen.add(real)
     staged = []
     try:
         for k, (path, data) in enumerate(exports):

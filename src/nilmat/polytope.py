@@ -21,6 +21,7 @@ from .exactmat import (
     _int_vector,
     _is_int,
     _json_list,
+    _normalised,
     _rational,
     _reduce,
     _sequence,
@@ -210,7 +211,8 @@ def _run_double_description(h):
     one vertex, where the other d rows are tight, and the d edge directions
     (t = 0) that leave it, each off one of those rows: with A their
     coefficient block, A x = -constants gives the vertex (1, x) and
-    A y = e_j the direction (0, y).
+    A y = e_j the direction (0, y): column j of A^-1, from one elimination
+    of [A | I].
     """
     d = h.d
     rows = [(1,) + (0,) * d] + list(h.rows)
@@ -219,18 +221,15 @@ def _run_double_description(h):
     if len(basis) <= d:
         return [], True
     edges = basis[1:]
-    block = RMatrix([rows[i][1:] for i in edges])
+    block = _normalised(tuple(rows[i][1:] for i in edges), 1)
     tight_on_start = sum(1 << i for i in basis)
     # (ray, bitmask of the rows taken so far that are tight on it)
     vertex = solve_unique(block, [-rows[i][0] for i in edges])
     rays = [(_primitive((1, *vertex)), tight_on_start & ~1)]
-    rays += [
-        (
-            _primitive((0, *solve_unique(block, [int(k == j) for k in range(d)]))),
-            tight_on_start & ~(1 << i),
-        )
-        for j, i in enumerate(edges)
-    ]
+    # the inverse's integer columns are the y_j times its positive denominator
+    for i, y in zip(edges, zip(*block.inverse()._num)):
+        g = math.gcd(*y)
+        rays.append(((0, *(x // g for x in y)), tight_on_start & ~(1 << i)))
     need = d - 1
     for i in sorted(set(range(len(rows))) - set(basis)):
         row, bit = rows[i], 1 << i
@@ -355,9 +354,21 @@ def _to_json(v, h):
             + f'"\n      ],\n      "constant": "{row[0]}"\n    }}'
             for row in h.rows
         ]
-        vertices = [
-            '    [\n      "' + '",\n      "'.join(_coordinates(y)) + '"\n    ]' for y in v.rays
-        ]
+        # each distinct text "p" or "p/q" of a coordinate x / t is made once,
+        # in a dict per t: a polytope's vertices repeat few coordinates
+        by_t = {}
+        vertices = []
+        for y in v.rays:
+            t = y[0]
+            texts = by_t.setdefault(t, {})
+            parts = []
+            for x in y[1:]:
+                text = texts.get(x)
+                if text is None:
+                    g = math.gcd(x, t)
+                    text = texts[x] = str(x // g) if g == t else f"{x // g}/{t // g}"
+                parts.append(text)
+            vertices.append('    [\n      "' + '",\n      "'.join(parts) + '"\n    ]')
     except ValueError:
         # str() refuses ints of more than sys.get_int_max_str_digits() digits
         raise MatrixError("number has too many digits to write out") from None
@@ -365,18 +376,6 @@ def _to_json(v, h):
         f'{{\n  "d": {h.d},\n  "inequalities": {_json_list(inequalities)},\n'
         f'  "vertices": {_json_list(vertices)}\n}}\n'
     )
-
-
-def _coordinates(ray):
-    """The texts "p" or "p/q" of the vertex x of ray = (t, t x)."""
-    t = ray[0]
-    if t == 1:
-        return map(str, ray[1:])
-    texts = []
-    for x in ray[1:]:
-        g = math.gcd(x, t)
-        texts.append(str(x // g) if g == t else f"{x // g}/{t // g}")
-    return texts
 
 
 def _decimal_str(value):

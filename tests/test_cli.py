@@ -202,6 +202,25 @@ def test_unwritable_second_export_writes_neither(existing, tmp_path, monkeypatch
         assert (tmp_path / "ok.json").read_bytes() == existing
 
 
+@pytest.mark.parametrize("existing", [None, b"keep me\n"], ids=["fresh", "existing"])
+@pytest.mark.parametrize("first", ["P", os.path.join(".", "P")], ids=["same", "dot-slash"])
+def test_two_exports_to_one_file_are_refused(first, existing, tmp_path, monkeypatch, capsys):
+    # the OFF mesh would replace the JSON export it was written after
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "frame.json", reference.reference_frame().to_json_dict())
+    if existing is not None:
+        (tmp_path / "P").write_bytes(existing)
+    code, out, err = run(
+        capsys, "polytope", "build", "--frame", "frame.json", "--out", first, "--off", "P"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: two exports name one file: P\n"
+    expected = ["frame.json"] if existing is None else ["P", "frame.json"]
+    assert sorted(os.listdir(tmp_path)) == expected
+    if existing is not None:
+        assert (tmp_path / "P").read_bytes() == existing
+
+
 @pytest.mark.parametrize(
     "opt, message",
     [
@@ -668,6 +687,29 @@ def test_polytope_build_reads_no_fraction_views(tmp_path, monkeypatch, capsys):
         code, out, _ = run(capsys, *argv)
         assert (code, out, (tmp_path / "poly.json").read_bytes()) == before
         assert code == 0 and "facet census = {" in out
+
+
+@pytest.mark.parametrize(
+    "frame, opts",
+    [
+        (reference.reference_frame(), ["--census", "--out", "poly.json", "--off", "poly.off"]),
+        (rand_tree_frame(rng(0), 5), ["--out", "poly.json"]),
+    ],
+    ids=["d3", "d6"],
+)
+def test_polytope_build_solves_once(frame, opts, tmp_path, monkeypatch, capsys):
+    # the start vertex is the one solve: its d edge directions come from one
+    # elimination. The benchmark's self-test test_counts_repeat_exactly
+    # needs this call (it asserts polytope.enumerate_vertices.solves > 0);
+    # ROADMAP item 6 reads the vertex off the elimination too and retires both
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "frame.json", frame.to_json_dict())
+    calls = []
+    solve = polytope.solve_unique
+    monkeypatch.setattr(polytope, "solve_unique", lambda m, b: calls.append(m) or solve(m, b))
+    code, _, _ = run(capsys, "polytope", "build", "--frame", "frame.json", *opts)
+    assert code == 0
+    assert len(calls) == 1
 
 
 # sha256 of `omega enumerate` output, pinned from the assignment-vector

@@ -3,13 +3,15 @@ facets: the rows read off the frame against the unit-image construction,
 the double description routine against the brute-force oracles and the
 full-basis pass, and the incidence facet rule against the per-row rank
 rule, on small random H-polytopes and on random flag polytopes; and the
-facet structure and OFF face orientation those polytopes must have."""
+facet structure and OFF face orientation those polytopes must have; and
+the JSON export against the stdlib encoder."""
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import rng, rand_frame, rand_tree_frame
 from nilmat.exactmat import MatrixError
@@ -30,6 +32,7 @@ from polytope_oracles import (
     brute_force_is_bounded,
     brute_force_vertices,
     full_basis_double_description,
+    polytope_to_json_dict,
     rank_facet_incidence,
     unit_image_polytope,
 )
@@ -105,6 +108,19 @@ def test_double_description_agrees_with_brute_force(h):
 @given(h_polytopes())
 def test_double_description_matches_the_full_basis_oracle(h):
     assert _run_double_description(h) == full_basis_double_description(h)
+
+
+@PROPERTY
+@given(h_polytopes())
+# the triangle (0, 0), (3, 0), (3/2, 3/2) writes x = 3 over t = 1 and over
+# t = 2; the box [-1, 1]^2 writes -1 and 1 at t = 1 four times each
+@example(polytope(2, [(0, [0, 1]), (0, [1, -1]), (3, [-1, -1])]))
+@example(polytope(2, [(1, [1, 0]), (1, [-1, 0]), (1, [0, 1]), (1, [0, -1])]))
+def test_json_export_matches_the_json_dumps_oracle(h):
+    # every coordinate text is written once per (x, t) and reused
+    payload = polytope_to_json_dict(enumerate_vertices(h), h)
+    dumped = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert export_polytope(h, "json") == dumped.encode()
 
 
 def test_double_description_agrees_with_brute_force_at_d6():

@@ -3,8 +3,8 @@ facets: the rows read off the frame against the unit-image construction,
 the double description routine against the brute-force oracles and the
 full-basis pass, and the incidence facet rule against the per-row rank
 rule, on small random H-polytopes and on random flag polytopes; and the
-facet structure and OFF face orientation those polytopes must have; and
-the JSON export against the stdlib encoder."""
+facet structure and OFF face orientation those polytopes must have, and
+their JSON export against the stdlib encoder."""
 
 import json
 import math
@@ -117,7 +117,6 @@ def test_double_description_matches_the_full_basis_oracle(h):
 @example(polytope(2, [(0, [0, 1]), (0, [1, -1]), (3, [-1, -1])]))
 @example(polytope(2, [(1, [1, 0]), (1, [-1, 0]), (1, [0, 1]), (1, [0, -1])]))
 def test_json_export_matches_the_json_dumps_oracle(h):
-    # every coordinate text is written once per (x, t) and reused
     payload = polytope_to_json_dict(enumerate_vertices(h), h)
     dumped = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert export_polytope(h, "json") == dumped.encode()

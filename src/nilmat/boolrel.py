@@ -37,38 +37,27 @@ class BoolMatrix:
         self.rows = rows
 
     @classmethod
+    def _trusted(cls, n, rows):
+        # for a size and a tuple of row masks valid by construction
+        self = object.__new__(cls)
+        self.n, self.rows = n, rows
+        return self
+
+    @classmethod
     def empty(cls, n):
         n = _size(n)
-        return cls(n, (0,) * n)
+        return cls._trusted(n, (0,) * n)
 
     @classmethod
     def full(cls, n):
         n = _size(n)
-        return cls(n, ((1 << n) - 1,) * n)
+        return cls._trusted(n, ((1 << n) - 1,) * n)
 
     @classmethod
     def from_pairs(cls, n, pairs):
         """Build from 0-based (i, j) pairs of ints."""
         n = _size(n)
-        try:
-            pairs = list(pairs)
-        except TypeError:
-            raise MatrixError(f"not a sequence of (i, j) pairs: {_shown(pairs)}") from None
-        for pair in pairs:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(_is_int, pair)):
-                raise MatrixError(f"bad bit entry: {_shown(pair)}")
-        return cls._from_pairs(n, pairs)
-
-    @classmethod
-    def _from_pairs(cls, n, pairs):
-        # trusted path for a size and pairs that are ints already, such as
-        # RMatrix.nonzero_positions gives
-        rows = [0] * n
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n):
-                raise MatrixError(f"bit ({_shown(i)}, {_shown(j)}) out of range for size {n}")
-            rows[i] |= 1 << j
-        return cls(n, rows)
+        return cls._trusted(n, _bit_rows(n, pairs, 0))
 
     def bits(self):
         """0-based (i, j) pairs in row-major order."""
@@ -107,9 +96,7 @@ class BoolMatrix:
                 m &= m - 1
             out.append(acc)
         # valid by construction: each row is an OR of the other's rows
-        product = object.__new__(BoolMatrix)
-        product.n, product.rows = self.n, tuple(out)
-        return product
+        return BoolMatrix._trusted(self.n, tuple(out))
 
     def __eq__(self, other):
         return isinstance(other, BoolMatrix) and self.n == other.n and self.rows == other.rows
@@ -132,15 +119,32 @@ class BoolMatrix:
         n = _size(obj["n"], "pattern size")
         if not isinstance(obj["bits"], list):
             raise MatrixError('pattern JSON must be {"n": ..., "bits": [[i, j], ...]}')
-        pairs = []
-        for pair in obj["bits"]:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(_is_int, pair)):
-                raise MatrixError(f"bad bit entry: {_shown(pair)}")
-            i, j = pair
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise MatrixError(f"bit ({_shown(i)}, {_shown(j)}) out of range for size {n}")
-            pairs.append((i - 1, j - 1))
-        return cls._from_pairs(n, pairs)
+        return cls._trusted(n, _bit_rows(n, obj["bits"], 1))
+
+
+def _bit_rows(n, pairs, base):
+    """Row masks of a size-n pattern from (i, j) pairs numbered from base,
+    0 or 1; each pair is checked once, and an error quotes it as given."""
+    try:
+        pairs = list(pairs)
+    except TypeError:
+        raise MatrixError(f"not a sequence of (i, j) pairs: {_shown(pairs)}") from None
+    rows = [0] * n
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(_is_int, pair)):
+            raise MatrixError(f"bad bit entry: {_shown(pair)}")
+        i, j = pair
+        if not (base <= i < n + base and base <= j < n + base):
+            raise MatrixError(f"bit ({_shown(i)}, {_shown(j)}) out of range for size {n}")
+        rows[i - base] |= 1 << (j - base)
+    return tuple(rows)
+
+
+def _support(a):
+    """Boolean support of a square matrix, read from its integer rows."""
+    return BoolMatrix._trusted(
+        a.rows, tuple(sum(1 << j for j, x in enumerate(row) if x) for row in a._num)
+    )
 
 
 def support_pattern(a):
@@ -153,7 +157,7 @@ def support_pattern(a):
         raise MatrixError("support pattern needs a square matrix")
     if a.min_entry() < 0:
         raise MatrixError("negative entry; support map undefined")
-    return BoolMatrix._from_pairs(a.rows, a.nonzero_positions())
+    return _support(a)
 
 
 def _set_bits(mask):

@@ -13,11 +13,12 @@ from .boolrel import (
     _MAXIMALITY_MAX_N,
     BoolMatrix,
     _size,
+    _support,
     is_rook,
     nilpotency_index,
     support_pattern,
 )
-from .exactmat import RMatrix, MatrixError, ONE, ZERO, _is_int, _parse_int, _shown, int_tuple
+from .exactmat import MatrixError, _is_int, _normalised, _parse_int, _shown, int_tuple
 
 KINDS = ("omega", "m0", "m0plus")
 
@@ -82,7 +83,7 @@ class OrderedPartition:
 
     def __init__(self, blocks):
         try:
-            blocks = tuple(tuple(sorted(set(int_tuple(b)))) for b in blocks)
+            blocks = tuple(tuple(sorted(int_tuple(b))) for b in blocks)
         except TypeError:  # blocks itself is not iterable
             raise MatrixError(f"not a sequence of integers: {_shown(blocks)}") from None
         if not blocks or any(not b for b in blocks):
@@ -155,7 +156,7 @@ def pattern_from_partition(partition):
             rows[x - 1] = later
             mask |= 1 << (x - 1)
         later |= mask
-    return BoolMatrix(len(rows), rows)
+    return BoolMatrix._trusted(len(rows), tuple(rows))
 
 
 def membership(a, pattern, kind="omega"):
@@ -171,7 +172,7 @@ def membership(a, pattern, kind="omega"):
         raise MatrixError("matrix size must match the pattern size")
     if kind in ("omega", "m0plus") and a.min_entry() < 0:
         return False
-    support = BoolMatrix._from_pairs(a.rows, a.nonzero_positions())
+    support = _support(a)
     if kind in ("m0", "m0plus") and not is_rook(support):
         return False
     return support.is_subset(pattern)
@@ -300,7 +301,7 @@ def nilpotency_class(a):
         raise MatrixError("nilpotency class defined for square matrices")
     if a.min_entry() < 0:
         raise MatrixError("nilpotency class here is relative to the nonnegative ambient")
-    return nilpotency_index(support_pattern(a))
+    return nilpotency_index(_support(a))
 
 
 def pattern_class(pattern):
@@ -322,11 +323,10 @@ def monomial_conjugator(order1, order2):
     if order1.n != order2.n:
         raise MatrixError("orders live on different ground sets")
     n = order1.n
-    image = {order1.seq[t]: order2.seq[t] for t in range(n)}
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        rows[i - 1][image[i] - 1] = ONE
-    return RMatrix(rows)
+    image = dict(zip(order1.seq, order2.seq))
+    return _normalised(
+        tuple(tuple(int(image[i] == j) for j in range(1, n + 1)) for i in range(1, n + 1)), 1
+    )
 
 
 def nilpotent_nonzero_count(a):

@@ -18,11 +18,9 @@ from .exactmat import (
     MatrixError,
     SingularMatrix,
     DimensionMismatch,
-    rank,
-    ONE,
-    ZERO,
     _normalised,
     _rational,
+    _reduce,
     _shown,
     _size,
     int_tuple,
@@ -136,14 +134,9 @@ class FlagFrame:
         """Frame with the difference basis e_i - e_(i+1); complete flag by
         default."""
         n = _size(n)
-        cols = [[ONE] * n]
-        for i in range(n - 1):
-            col = [ZERO] * n
-            col[i] = ONE
-            col[i + 1] = -ONE
-            cols.append(col)
-        f = RMatrix(cols).transpose()
-        return cls(f, dims if dims is not None else range(1, n))
+        # row i: 1, then +1 in column i + 1 and -1 in column i, both when present
+        f = tuple((1,) + tuple((i + 1 == j) - (i == j) for j in range(1, n)) for i in range(n))
+        return cls(_normalised(f, 1), dims if dims is not None else range(1, n))
 
     def to_json_dict(self):
         return {"F": self.f.to_json_dict(), "dims": list(self.dims)}
@@ -159,14 +152,15 @@ def flags_equal(frame1, frame2):
     """Do two frames present the same flag?
 
     Frames are interchangeable labels: the flag is the chain of column
-    spans at each breakpoint, compared here by exact rank.
+    spans at each breakpoint, compared here by exact rank. A frame's
+    integer columns are its columns scaled by its denominator, which keeps
+    their span.
     """
     if frame1.n != frame2.n or frame1.dims != frame2.dims:
         return False
+    cols1, cols2 = list(zip(*frame1.f._num)), list(zip(*frame2.f._num))
     for d in frame1.dims:
-        cols = [frame1.f.column(j) for j in range(1, d + 1)]
-        cols += [frame2.f.column(j) for j in range(1, d + 1)]
-        if rank(RMatrix(cols).transpose()) != d:
+        if len(_reduce([list(c) for c in cols1[1 : d + 1] + cols2[1 : d + 1]], frame1.n)) != d:
             return False
     return True
 
@@ -296,15 +290,11 @@ def make_stochastic_nilpotent(frame, b, alpha=None):
         alpha = _rational(alpha)
     a = iso_backward(b, frame)
     n = frame.n
-    z = q_zero(n)
-    if a == z:
-        if alpha == 0:
-            raise MatrixError("scaling by 0 collapses to the zero element")
-        return z
     if alpha is None:
         # half of min 1/(2n|x|) over the nonzero entries x = num / den
         alpha = Fraction(a._den, 4 * n * max(abs(x) for r in a._num for x in r))
-    else:
+    elif a != q_zero(n):
+        # the flat matrix has no range: every alpha but 0 keeps it
         lo, hi = stochastic_scaling_range(a)
         if not lo <= alpha <= hi:
             bounds = ", ".join(_shown(x, str) for x in (lo, hi))

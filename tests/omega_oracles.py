@@ -1,12 +1,16 @@
 """Oracles that nilmat.omega used before it carried partition blocks
-through the enumeration and built patterns from block masks.
+through the enumeration, built patterns from block masks and built
+permutation matrices from integer rows.
 
 `assignment_partitions` fills a block-index vector, tracks the used blocks
 in a bitmask and rebuilds the blocks at every leaf; `pair_order_pattern`
 and `pair_partition_pattern` list every (i, j) pair whose order or block
-index increases and hand the list to BoolMatrix.from_pairs."""
+index increases and hand the list to BoolMatrix.from_pairs.
+`fraction_monomial_conjugator` fills Fraction rows and hands them to
+RMatrix."""
 
 from nilmat.boolrel import BoolMatrix
+from nilmat.exactmat import ONE, ZERO, RMatrix
 from nilmat.omega import OrderedPartition
 
 
@@ -62,3 +66,14 @@ def pair_partition_pattern(partition):
         if bidx[i] < bidx[j]
     ]
     return BoolMatrix.from_pairs(n, pairs)
+
+
+def fraction_monomial_conjugator(order1, order2):
+    """Permutation matrix with a one at (i, j) when the t-th element of
+    order1 is i and the t-th element of order2 is j."""
+    n = order1.n
+    image = {order1.seq[t]: order2.seq[t] for t in range(n)}
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        rows[i - 1][image[i] - 1] = ONE
+    return RMatrix(rows)

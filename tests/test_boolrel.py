@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boolrel_oracles import (
     all_bool_matrices,
@@ -376,3 +377,73 @@ def test_json_round_trip():
         BoolMatrix.from_json_dict({"n": 2, "bits": 5})
     with pytest.raises(MatrixError):
         BoolMatrix.from_json_dict({"n": 2, "bits": None})
+
+
+BUILDERS = {
+    "empty": lambda: BoolMatrix.empty(3),
+    "full": lambda: BoolMatrix.full(4),
+    "from_pairs": lambda: bits(3, (1, 2), (3, 1)),
+    "from_json_dict": lambda: BoolMatrix.from_json_dict({"n": 3, "bits": [[1, 3], [2, 3]]}),
+    "product": lambda: STRICT_UPPER_3 * STRICT_UPPER_3,
+    "support": lambda: support_pattern(RMatrix([[0, F(1, 2)], [3, 0]])),
+    "partition": lambda: pattern_from_partition(OrderedPartition([(2,), (1, 3)])),
+    "order": lambda: pattern_from_order(LinearOrder([2, 3, 1])),
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+def test_every_builder_gives_what_the_checked_constructor_gives(build):
+    # the builders skip the checked constructor; their patterns must be
+    # the ones it would build, down to the row tuple and the hash
+    p = build()
+    assert type(p.rows) is tuple
+    assert BoolMatrix(p.n, p.rows) == p
+    assert hash(BoolMatrix(p.n, p.rows)) == hash(p)
+
+
+@st.composite
+def patterns(draw):
+    n = draw(st.integers(1, 6))
+    return BoolMatrix(n, draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(patterns())
+def test_both_pair_readers_rebuild_the_pattern(p):
+    assert BoolMatrix.from_json_dict(p.to_json_dict()) == BoolMatrix.from_pairs(p.n, p.bits()) == p
+
+
+def _from_0_based(pair):
+    return BoolMatrix.from_pairs(3, [(0, 0), pair])
+
+
+def _from_1_based(pair):
+    return BoolMatrix.from_json_dict({"n": 3, "bits": [[1, 1], pair]})
+
+
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "build, pair, shown",
+    [
+        (_from_0_based, (3, 0), "(3, 0)"),
+        (_from_0_based, (0, -1), "(0, -1)"),
+        (_from_0_based, (3, 3), "(3, 3)"),
+        (_from_0_based, [2, HUGE], f"(2, <int of {HUGE.bit_length()} bits>)"),
+        (_from_1_based, [0, 1], "(0, 1)"),
+        (_from_1_based, [1, 4], "(1, 4)"),
+        (_from_1_based, [-1, 2], "(-1, 2)"),
+        (_from_1_based, [HUGE, 1], f"(<int of {HUGE.bit_length()} bits>, 1)"),
+    ],
+    ids=["0:row", "0:negative", "0:corner", "0:huge", "1:zero", "1:column", "1:negative", "1:huge"],
+)
+def test_out_of_range_bits_are_quoted_as_given(build, pair, shown):
+    with pytest.raises(MatrixError) as exc:
+        build(pair)
+    assert str(exc.value) == f"bit {shown} out of range for size 3"
+
+
+def test_each_pair_reader_numbers_from_its_own_base():
+    assert _from_0_based((0, 2)).bits() == [(0, 0), (0, 2)]
+    assert _from_1_based([3, 3]).bits() == [(0, 0), (2, 2)]

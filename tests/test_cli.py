@@ -354,6 +354,18 @@ def test_omega_pattern(capsys):
         assert capsys.readouterr().err.startswith("usage: ")
 
 
+def test_omega_pattern_refuses_a_repeated_element(capsys):
+    # "1,1|2" once printed a 2x2 pattern, merging the repeated 1
+    with pytest.raises(SystemExit) as exc:
+        main(["omega", "pattern", "--partition", "1,1|2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert err.endswith(
+        "error: argument --partition: blocks must partition 1..3: ((1, 1), (2,))\n"
+    )
+
+
 def dumped(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 

@@ -27,6 +27,7 @@ from nilmat.omega import (
 from omega_oracles import (
     assignment_partitions,
     block_indices,
+    fraction_monomial_conjugator,
     pair_order_pattern,
     pair_partition_pattern,
 )
@@ -73,6 +74,25 @@ def test_ordered_partition_parsing_and_validation():
     for text in ("1|x", "1|\uff12", "\u0661|2", "1_0|2"):
         with pytest.raises(MatrixError, match="not a comma-separated list of integers"):
             OrderedPartition.parse(text)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: OrderedPartition([[1, 1]]), "blocks must partition 1..2: ((1, 1),)"),
+        (lambda: OrderedPartition.parse("1,1|2"), "blocks must partition 1..3: ((1, 1), (2,))"),
+        (
+            lambda: OrderedPartition([(2, 1, 2), (3,)]),
+            "blocks must partition 1..4: ((1, 2, 2), (3,))",
+        ),
+    ],
+    ids=["one-block", "parsed", "with-others"],
+)
+def test_ordered_partition_refuses_a_repeated_element(build, message):
+    # a repeated element is not merged into one: the blocks then miss n
+    with pytest.raises(MatrixError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_pattern_from_order_examples():
@@ -333,6 +353,16 @@ def test_monomial_conjugator_examples():
     assert m == RMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     with pytest.raises(MatrixError):
         monomial_conjugator(LinearOrder([1, 2]), LinearOrder([1, 2, 3]))
+
+
+def test_monomial_conjugator_matches_the_fraction_oracle():
+    for n in range(1, 5):
+        orders = [LinearOrder(p) for p in permutations(range(1, n + 1))]
+        for o1 in orders:
+            for o2 in orders:
+                m = monomial_conjugator(o1, o2)
+                assert m == fraction_monomial_conjugator(o1, o2)
+                assert m.to_json_dict() == fraction_monomial_conjugator(o1, o2).to_json_dict()
 
 
 def test_conjugation_carries_patterns_exactly():

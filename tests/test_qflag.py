@@ -30,6 +30,7 @@ from nilmat.qflag import (
     stochastic_scaling_range,
 )
 from nilmat.reference import reference_frame
+from qflag_oracles import fraction_flags_equal, fraction_standard_frame
 
 F = Fraction
 
@@ -332,6 +333,78 @@ def test_flags_equal():
     assert flags_equal(f1, f2)
     assert not flags_equal(reference_frame(which="frame-a"), reference_frame(which="frame-b"))
     assert not flags_equal(f1, FlagFrame.standard(4, dims=[2, 3]))
+
+
+def _same_flag_copy(r, frame):
+    """The frame with each basis column scaled by a nonzero Fraction and
+    shifted by a multiple of an earlier one: the same flag, new columns."""
+    cols = [list(frame.f.column(j)) for j in range(frame.n)]
+    for j in range(1, frame.n):
+        scale = F(r.choice([-3, -2, -1, 1, 2, 3]), r.randint(1, 4))
+        cols[j] = [scale * x for x in cols[j]]
+        if j > 1:
+            i, c = r.randint(1, j - 1), F(r.randint(-2, 2), r.randint(1, 3))
+            cols[j] = [x + c * y for x, y in zip(cols[j], cols[i])]
+    return FlagFrame(RMatrix(cols).transpose(), frame.dims)
+
+
+def _swapped_across_blocks(r, frame):
+    """The frame with a basis column of its first block swapped for one of
+    a later block: another flag, unless the spans happen to agree."""
+    i = r.randint(1, frame.dims[0])
+    j = r.randint(frame.dims[0] + 1, frame.n - 1)
+    cols = [list(frame.f.column(k)) for k in range(frame.n)]
+    cols[i], cols[j] = cols[j], cols[i]
+    return FlagFrame(RMatrix(cols).transpose(), frame.dims)
+
+
+def test_flags_equal_matches_the_fraction_oracle():
+    r = rng(41)
+    verdicts, dens = [], set()
+    for n in range(3, 7):
+        for dims in all_dims(n):
+            if len(dims) < 2:
+                continue
+            frame = rand_frame(r, n, dims)
+            copy = _same_flag_copy(r, frame)
+            assert flags_equal(frame, copy)
+            dens.add(copy.f._den)
+            others = [
+                copy,
+                _swapped_across_blocks(r, frame),
+                rand_frame(r, n, dims),
+                FlagFrame.standard(n, dims),
+            ]
+            for other in others:
+                for pair in ((frame, other), (other, frame), (copy, other)):
+                    verdict = flags_equal(*pair)
+                    assert verdict == fraction_flags_equal(*pair)
+                    verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
+    assert dens != {1}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_standard_frame_matches_the_fraction_oracle(n):
+    for dims in [None] + all_dims(n):
+        frame = FlagFrame.standard(n, dims)
+        assert frame.f._den == 1
+        assert frame.to_json_dict() == fraction_standard_frame(n, dims).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [FlagFrame.standard(4), FlagFrame.standard(4, dims=[1, 3]), reference_frame()],
+    ids=["standard", "two-block", "reference"],
+)
+def test_make_stochastic_nilpotent_keeps_the_flat_matrix(frame):
+    # b = 0 gives the flat matrix, which every alpha but 0 keeps; it has no
+    # scaling range, so none is checked
+    zero = RMatrix.zero(frame.n - 1)
+    for alpha in (None, 5, "1/2"):
+        assert make_stochastic_nilpotent(frame, zero, alpha) == q_zero(frame.n)
+    with pytest.raises(MatrixError, match="^scaling by 0 collapses to the zero element$"):
+        make_stochastic_nilpotent(frame, zero, 0)
 
 
 def test_distinct_flags_are_separated_by_a_stochastic_element():

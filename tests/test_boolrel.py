@@ -442,8 +442,3 @@ def test_out_of_range_bits_are_quoted_as_given(build, pair, shown):
     with pytest.raises(MatrixError) as exc:
         build(pair)
     assert str(exc.value) == f"bit {shown} out of range for size 3"
-
-
-def test_each_pair_reader_numbers_from_its_own_base():
-    assert _from_0_based((0, 2)).bits() == [(0, 0), (0, 2)]
-    assert _from_1_based([3, 3]).bits() == [(0, 0), (2, 2)]

@@ -9,7 +9,6 @@ makes composition a handful of bitwise ORs.
 from .exactmat import MAX_ENTRIES, MatrixError, _is_int, _shown, int_tuple
 
 _CLOSURE_MAX_N = 5
-_MAXIMALITY_MAX_N = 10  # also the bound of omega.iter_ordered_partitions
 
 
 def _size(n, what="BoolMatrix size"):
@@ -28,8 +27,7 @@ class BoolMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, n, rows):
-        if not _is_int(n) or n < 1:
-            raise MatrixError("BoolMatrix size must be a positive integer")
+        n = _size(n)
         rows = int_tuple(rows)
         if len(rows) != n or any(not 0 <= r < (1 << n) for r in rows):
             raise MatrixError("row masks do not match the declared size")
@@ -160,6 +158,20 @@ def support_pattern(a):
     return _support(a)
 
 
+def _partition_rows(n, blocks):
+    """Row masks of an ordered partition of 1..n into blocks: bit (i, j)
+    is set when i's block comes strictly before j's."""
+    rows = [0] * n
+    later = 0  # the elements of the blocks after the current one
+    for block in reversed(blocks):
+        mask = 0
+        for x in block:
+            rows[x - 1] = later
+            mask |= 1 << (x - 1)
+        later |= mask
+    return tuple(rows)
+
+
 def _set_bits(mask):
     """Indices of the set bits of mask, lowest first."""
     while mask:
@@ -276,25 +288,18 @@ def is_maximal_nilpotent_pattern(pattern, kind="bn"):
     equals its layer pattern. Boolean products are monotone, so an outside
     element breaks P exactly when some outside single-bit E_ij inside it
     does; every E_ij is a rook matrix, so "rook" gets the verdict of "bn".
-    Limited to n <= 10, the bound of the partition enumeration.
     """
     if kind not in ("bn", "rook"):
         raise MatrixError(f"unknown ambient kind: {_shown(kind)}")
-    n = pattern.n
-    if n > _MAXIMALITY_MAX_N:
-        raise MatrixError(f"maximality test limited to n <= {_MAXIMALITY_MAX_N}")
     k = nilpotency_index(pattern)
     if k is None:
         raise MatrixError("pattern is not nilpotent: its digraph has a cycle")
-    rows = pattern.rows
+    n, rows = pattern.n, pattern.rows
     layer = [0] * n
     for v in _topological_order(pattern):
         for j in _set_bits(rows[v]):
             layer[j] = max(layer[j], layer[v] + 1)
-    # from_layer[t]: the vertices in layers t and above
-    from_layer = [0] * (k + 1)
+    blocks = [[] for _ in range(k)]
     for v, t in enumerate(layer):
-        from_layer[t] |= 1 << v
-    for t in reversed(range(k)):
-        from_layer[t] |= from_layer[t + 1]
-    return all(rows[i] == from_layer[layer[i] + 1] for i in range(n))
+        blocks[t].append(v + 1)
+    return rows == _partition_rows(n, blocks)

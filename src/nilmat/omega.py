@@ -9,15 +9,7 @@ test against the pattern.
 import math
 from operator import add
 
-from .boolrel import (
-    _MAXIMALITY_MAX_N,
-    BoolMatrix,
-    _size,
-    _support,
-    is_rook,
-    nilpotency_index,
-    support_pattern,
-)
+from .boolrel import BoolMatrix, _partition_rows, _size, _support, is_rook, nilpotency_index
 from .exactmat import MatrixError, _is_int, _normalised, _parse_int, _shown, int_tuple
 
 KINDS = ("omega", "m0", "m0plus")
@@ -108,11 +100,6 @@ class OrderedPartition:
         self.blocks = blocks
         return self
 
-    @classmethod
-    def singletons(cls, order):
-        # a LinearOrder is already a validated permutation
-        return cls._trusted(tuple((x,) for x in order.seq))
-
     @property
     def n(self):
         return sum(len(b) for b in self.blocks)
@@ -140,7 +127,8 @@ def pattern_from_order(order):
     Bit (k, l) is set exactly when k comes before l, so the pattern has
     n(n-1)/2 bits and is the strict upper triangle after relabelling.
     """
-    pattern = pattern_from_partition(OrderedPartition.singletons(order))
+    # a LinearOrder is already a validated permutation
+    pattern = pattern_from_partition(OrderedPartition._trusted(tuple((x,) for x in order.seq)))
     assert pattern.bit_count() == order.n * (order.n - 1) // 2
     return pattern
 
@@ -148,15 +136,8 @@ def pattern_from_order(order):
 def pattern_from_partition(partition):
     """Support pattern of the class-k subsemigroup labelled by an ordered
     partition: bit (i, j) is set when i's block comes strictly before j's."""
-    rows = [0] * _size(partition.n, "pattern size")
-    later = 0  # the elements of the blocks after the current one
-    for block in reversed(partition.blocks):
-        mask = 0
-        for x in block:
-            rows[x - 1] = later
-            mask |= 1 << (x - 1)
-        later |= mask
-    return BoolMatrix._trusted(len(rows), tuple(rows))
+    n = _size(partition.n, "pattern size")
+    return BoolMatrix._trusted(n, _partition_rows(n, partition.blocks))
 
 
 def membership(a, pattern, kind="omega"):
@@ -214,6 +195,8 @@ def count_max_nilpotent(n, k, max_digits=0):
     return sum((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k))
 
 
+_ENUMERATION_MAX_N = 10
+
 # most tail assignments, k^t, that one call holds: the tail is cut below
 # floor(n/2) elements until they fit, so that the table stays small beside
 # a stream whose memory is otherwise flat; a shorter tail means more heads
@@ -252,8 +235,8 @@ def _partition_chunks(n, k, tail_item=None):
     head leaves empty. The tail table is built once per call, and the
     tails for each set of empty blocks are filtered once."""
     _check_block_count(n, k)
-    if n > _MAXIMALITY_MAX_N:
-        raise MatrixError(f"partition enumeration limited to n <= {_MAXIMALITY_MAX_N}")
+    if n > _ENUMERATION_MAX_N:
+        raise MatrixError(f"partition enumeration limited to n <= {_ENUMERATION_MAX_N}")
     t = n // 2
     while k**t > _TAIL_TABLE_MAX:
         t -= 1
@@ -345,6 +328,11 @@ def nilpotent_nonzero_count(a):
 def is_unit(a):
     """Is the matrix invertible inside the nonnegative ambient, i.e. a
     monomial matrix with positive entries? Equivalent to having an
-    inverse that is again nonnegative."""
-    support = support_pattern(a)
+    inverse that is again nonnegative. A matrix with a negative entry lies
+    outside that ambient, so it is not a unit of it."""
+    if not a.is_square:
+        raise MatrixError("support pattern needs a square matrix")
+    if a.min_entry() < 0:
+        return False
+    support = _support(a)
     return is_rook(support) and support.bit_count() == a.rows

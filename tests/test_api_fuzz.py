@@ -328,7 +328,6 @@ EXEMPT = {
     "boolrel.nilpotency_index": ONLY_PATTERN,
     "boolrel.is_rook": ONLY_PATTERN,
     "boolrel.closure": "takes only patterns",
-    "omega.OrderedPartition.singletons": "takes only a LinearOrder",
     "omega.pattern_from_order": "takes only a LinearOrder",
     "omega.pattern_from_partition": "takes only an OrderedPartition",
     "omega.nilpotency_class": ONLY_MATRIX,

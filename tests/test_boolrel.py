@@ -68,6 +68,8 @@ def test_boolean_product_examples():
     assert STRICT_UPPER_3 * STRICT_UPPER_3 == bits(3, (1, 3))
     with pytest.raises(MatrixError):
         BoolMatrix.full(2) * BoolMatrix.full(3)
+    with pytest.raises(MatrixError, match="^size mismatch$"):
+        BoolMatrix.empty(2).is_subset(BoolMatrix.full(3))
 
 
 def test_nilpotency_index_examples():
@@ -132,6 +134,8 @@ def test_closure_examples():
         closure([BoolMatrix.empty(6)])
     with pytest.raises(MatrixError):
         closure([])
+    with pytest.raises(MatrixError, match="^generators must share one size$"):
+        closure([BoolMatrix.empty(2), BoolMatrix.empty(3)])
 
 
 def test_closure_is_multiplicatively_closed():
@@ -230,6 +234,13 @@ def random_partition(r, n):
     return OrderedPartition(elems[a:b] for a, b in zip([0] + cuts, cuts + [n]))
 
 
+def dropped(pattern, i, j):
+    """The pattern with its 0-based bit (i, j) cleared."""
+    rows = list(pattern.rows)
+    rows[i] &= ~(1 << j)
+    return BoolMatrix(pattern.n, rows)
+
+
 def test_maximality_up_to_the_size_limit():
     r = rng(14)
     same_class_drops = 0
@@ -240,9 +251,7 @@ def test_maximality_up_to_the_size_limit():
             assert is_maximal_nilpotent_pattern(pattern, "rook")
             k = nilpotency_index(pattern)
             for i, j in pattern.bits():
-                rows = list(pattern.rows)
-                rows[i] &= ~(1 << j)
-                smaller = BoolMatrix(n, rows)
+                smaller = dropped(pattern, i, j)
                 if nilpotency_index(smaller) == k:
                     same_class_drops += 1
                     assert not is_maximal_nilpotent_pattern(smaller, "bn")
@@ -279,13 +288,38 @@ def test_maximality_agrees_with_the_path_length_rule():
             assert is_maximal_nilpotent_pattern(pattern, kind) == expected, (pattern, kind)
         verdicts.append(expected)
     assert 0 < sum(verdicts) < len(verdicts)
+    # past the partition enumeration's n <= 10: a partition pattern per
+    # size, up to five one-bit drops of it, and random acyclic patterns
+    patterns = []
+    for n in range(11, 25):
+        pattern = pattern_from_partition(random_partition(r, n))
+        drops = r.sample(pattern.bits(), min(5, pattern.bit_count()))
+        patterns += [pattern] + [dropped(pattern, i, j) for i, j in drops]
+        patterns += [random_acyclic_pattern(r, n) for _ in range(60)]
+    verdicts = [path_length_is_maximal(p) for p in patterns]
+    for kind in ("bn", "rook"):
+        assert [is_maximal_nilpotent_pattern(p, kind) for p in patterns] == verdicts
+    assert 14 <= sum(verdicts) < len(verdicts)
+
+
+def test_maximality_past_the_enumeration_bound():
+    # 15 blocks, 14 of seven elements and one of two, so that a dropped
+    # bit keeps the class and leaves a pattern that is not maximal
+    r = rng(18)
+    elems = list(range(1, 101))
+    r.shuffle(elems)
+    pattern = pattern_from_partition(OrderedPartition(elems[a : a + 7] for a in range(0, 100, 7)))
+    assert is_maximal_nilpotent_pattern(pattern, "bn")
+    assert is_maximal_nilpotent_pattern(pattern, "rook")
+    smaller = dropped(pattern, *r.choice(pattern.bits()))
+    assert nilpotency_index(smaller) == nilpotency_index(pattern) == 15
+    assert not is_maximal_nilpotent_pattern(smaller, "bn")
+    assert not is_maximal_nilpotent_pattern(smaller, "rook")
 
 
 def test_maximality_oracle_rejects_bad_inputs():
     with pytest.raises(MatrixError):
         is_maximal_nilpotent_pattern(bits(2, (1, 2), (2, 1)), "bn")
-    with pytest.raises(MatrixError):
-        is_maximal_nilpotent_pattern(BoolMatrix.empty(11), "bn")
     with pytest.raises(MatrixError):
         is_maximal_nilpotent_pattern(STRICT_UPPER_3, "weird")
 
@@ -333,6 +367,12 @@ def test_malformed_pairs_are_a_matrix_error(n, pairs):
         BoolMatrix.from_pairs(n, pairs)
 
 
+def unread_rows():
+    """Rows that fail the test if read: a refused size reads none."""
+    raise AssertionError("rows read before the size was checked")
+    yield
+
+
 @pytest.mark.parametrize(
     "n",
     [10**20, 10**5000, 1001, "3", None, 1.0, True, 0, -1],
@@ -345,8 +385,9 @@ def test_malformed_pairs_are_a_matrix_error(n, pairs):
         BoolMatrix.full,
         lambda n: BoolMatrix.from_pairs(n, []),
         lambda n: BoolMatrix.from_json_dict({"n": n, "bits": []}),
+        lambda n: BoolMatrix(n, unread_rows()),
     ],
-    ids=["empty", "full", "from_pairs", "from_json_dict"],
+    ids=["empty", "full", "from_pairs", "from_json_dict", "BoolMatrix"],
 )
 def test_sizes_are_checked_before_any_row_is_built(build, n):
     with pytest.raises(MatrixError):
@@ -358,6 +399,11 @@ def test_sizes_up_to_the_limit_are_built():
     n = math.isqrt(MAX_ENTRIES)
     assert BoolMatrix.full(n).bit_count() == MAX_ENTRIES
     assert BoolMatrix.from_json_dict({"n": n, "bits": [[1, n]]}).bits() == [(0, n - 1)]
+    assert BoolMatrix(n, [0] * n) == BoolMatrix.empty(n)
+    message = f"^Boolean matrices are limited to {MAX_ENTRIES} entries$"
+    for build in (BoolMatrix.empty, lambda m: BoolMatrix(m, [0] * m)):
+        with pytest.raises(MatrixError, match=message):
+            build(n + 1)
 
 
 def test_json_round_trip():

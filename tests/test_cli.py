@@ -77,7 +77,12 @@ def test_usage_error_exits_2(capsys):
         assert f"argument {option}:" in capsys.readouterr().err
     # an Arabic-Indic 5 and a fullwidth 2 would count (5, 2) and print 30
     for command in ("count", "enumerate"):
-        for n, k, bad in (("x", "2", "--n"), ("\u0665", "2", "--n"), ("5", "\uff12", "--k")):
+        for n, k, bad in (
+            ("x", "2", "--n"),
+            ("1/2", "1", "--n"),
+            ("\u0665", "2", "--n"),
+            ("5", "\uff12", "--k"),
+        ):
             with pytest.raises(SystemExit) as exc:
                 main(["omega", command, "--n", n, "--k", k])
             assert exc.value.code == 2
@@ -884,3 +889,18 @@ def test_verify_detects_tampering():
     assert bad[0]["name"] == "frame-a vertices"
     assert "missing" in bad[0]["diff"] and "unexpected" in bad[0]["diff"]
     assert "1/100" in bad[0]["diff"]
+
+
+def test_verify_prints_a_failed_check_with_its_diff(monkeypatch, capsys):
+    spoiled = dict(reference.DATASETS["example1"])
+    spoiled["frame-b"] = dict(spoiled["frame-b"], census={3: 3, 4: 1})
+    monkeypatch.setitem(reference.DATASETS, "example1", spoiled)
+    code, out, _ = run(capsys, "verify", "example1")
+    assert code == 1
+    lines = out.splitlines()
+    assert sum(line.startswith("PASS") for line in lines) == 5
+    assert lines[-3:] == [
+        "FAIL frame-b facet census: {3-gon x4}",
+        "     expected {3-gon x3, 4-gon x1}, got {3-gon x4}",
+        "verification FAILED",
+    ]

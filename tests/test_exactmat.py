@@ -182,6 +182,10 @@ def test_singular_and_dimension_errors_are_distinct():
         RMatrix([[1, 2, 3]]).inverse()
     with pytest.raises(DimensionMismatch):
         RMatrix([[1, 2]]) * RMatrix([[1, 2]])
+    with pytest.raises(DimensionMismatch, match="^matrix addition needs equal shapes$"):
+        RMatrix([[1, 2]]) + RMatrix([[1], [2]])
+    with pytest.raises(DimensionMismatch, match="^matrix subtraction needs equal shapes$"):
+        RMatrix([[1, 2]]) - RMatrix([[1, 2, 3]])
     assert issubclass(SingularMatrix, MatrixError)
     assert issubclass(DimensionMismatch, MatrixError)
     assert not issubclass(SingularMatrix, DimensionMismatch)
@@ -238,6 +242,8 @@ def test_solve_unique_and_singularity():
     assert sol == (F(1), F(3))
     assert mat_vec(a, sol) == (F(5), F(10))
     assert solve_unique(RMatrix([[1, 1], [2, 2]]), [1, 2]) is None
+    with pytest.raises(DimensionMismatch, match="^solve_unique needs a square matrix$"):
+        solve_unique(RMatrix([[1, 2]]), [1])
     # a string or a dict would iterate as characters or keys
     for rhs in (None, 5, {0: 1, 1: 2}, "12"):
         with pytest.raises(MatrixError, match="^right-hand side must be a tuple or list$"):

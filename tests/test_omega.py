@@ -51,7 +51,7 @@ def test_linear_order_parsing_and_validation():
         with pytest.raises(MatrixError, match="not a sequence of integers"):
             LinearOrder(seq)
     # int() reads other scripts' digits and underscores; the parser does not
-    for text in ("1,2.5", "\u0662,1", "1,\uff12", "1_0,1", "1,2,"):
+    for text in ("1,2.5", "1/2,1", "\u0662,1", "1,\uff12", "1_0,1", "1,2,"):
         with pytest.raises(MatrixError, match="not a comma-separated list of integers"):
             LinearOrder.parse(text)
     assert LinearOrder.parse(" 2, +1 ").seq == (2, 1)
@@ -124,9 +124,8 @@ def test_order_pattern_is_singleton_partition_pattern():
     for n in range(1, 6):
         for perm in permutations(range(1, n + 1)):
             o = LinearOrder(perm)
-            assert pattern_from_order(o) == pattern_from_partition(
-                OrderedPartition.singletons(o)
-            )
+            singletons = OrderedPartition([(x,) for x in perm])
+            assert pattern_from_order(o) == pattern_from_partition(singletons)
 
 
 def test_membership_examples():
@@ -266,6 +265,8 @@ def test_enumeration_canonical_order():
 
     with pytest.raises(MatrixError, match="partition enumeration limited to n <= 10"):
         enumerate_partitions(11, 2)
+    with pytest.raises(MatrixError, match="^partition enumeration limited to n <= 10$"):
+        next(iter_ordered_partitions(11, 3))
     with pytest.raises(MatrixError):
         enumerate_partitions(3, 0)
 
@@ -397,8 +398,12 @@ def test_is_unit():
     assert is_unit(RMatrix([[2, 0], [0, F(1, 2)]]))
     assert not is_unit(RMatrix([[1, 1], [0, 1]]))
     assert not is_unit(RMatrix([[1, 0], [0, 0]]))
-    with pytest.raises(MatrixError):
-        is_unit(RMatrix([[-1, 0], [0, 1]]))
+    # a negative entry lies outside the nonnegative ambient, so no unit of it
+    assert not is_unit(RMatrix([[-1, 0], [0, 1]]))
+    assert not is_unit(RMatrix([[-1]]))
+    assert not is_unit(RMatrix([[0, -1], [1, 0]]))
+    with pytest.raises(MatrixError, match="^support pattern needs a square matrix$"):
+        is_unit(RMatrix([[1, 0]]))
 
 
 def test_unit_iff_inverse_nonnegative():
@@ -423,3 +428,5 @@ def test_nilpotency_class_in_nonnegative_ambient():
     assert nilpotency_class(RMatrix.identity(3)) is None
     with pytest.raises(MatrixError):
         nilpotency_class(RMatrix([[0, -1], [0, 0]]))
+    with pytest.raises(MatrixError, match="^nilpotency class defined for square matrices$"):
+        nilpotency_class(RMatrix([[0, 1]]))

@@ -12,7 +12,7 @@ from conftest import (
     rand_q_matrix,
 )
 from nilmat import qflag
-from nilmat.exactmat import RMatrix, MatrixError
+from nilmat.exactmat import DimensionMismatch, RMatrix, MatrixError
 from nilmat.omega import OrderedPartition, pattern_from_partition
 from nilmat.qflag import (
     FlagFrame,
@@ -88,6 +88,8 @@ def test_frame_validation():
         FlagFrame(RMatrix([[1, 1], [1, 0]]), [1])  # second column sum not zero
     with pytest.raises(MatrixError):
         FlagFrame(RMatrix([[1, 0], [1, 0]]), [1])  # singular
+    with pytest.raises(MatrixError, match="^frame matrix must be square of size >= 2$"):
+        FlagFrame(RMatrix([[1]]), [1])
     good = RMatrix([[1, 1], [1, -1]])
     with pytest.raises(MatrixError):
         FlagFrame(good, [])
@@ -133,6 +135,11 @@ def test_iso_backward_examples():
     assert iso_backward(RMatrix.identity(n - 1), frame) == RMatrix.identity(n)
     b = rand_matrix(rng(32), n - 1)
     assert is_in_q(iso_backward(b, frame))
+    for wrong in (RMatrix.identity(n), RMatrix.zero(n - 1, n)):
+        with pytest.raises(DimensionMismatch, match="^reduced matrix must have size n-1$"):
+            iso_backward(wrong, frame)
+        with pytest.raises(DimensionMismatch, match="^reduced matrix must have size n-1$"):
+            is_strictly_block_upper(wrong, frame)
 
 
 def test_iso_round_trips_and_multiplicativity():
@@ -275,6 +282,8 @@ def test_stochastic_scaling_range_examples():
 
     with pytest.raises(MatrixError):
         stochastic_scaling_range(q_zero(4))
+    with pytest.raises(MatrixError, match="^scaling range defined on the unit-sum semigroup$"):
+        stochastic_scaling_range(RMatrix.identity(4) * 2)
 
 
 def test_scaling_range_is_negative_to_positive():

@@ -6,6 +6,7 @@ Modules:
   omega     patterns, counting, and units in the nonnegative ambient
   qflag     unit row/column sum matrices, flags, stochastic scaling
   polytope  exact H-to-V conversion of the doubly stochastic polytopes
+  reference bundled example1 data and the checks of nilmat verify
   cli       command line front end (entry point: nilmat)
 """
 

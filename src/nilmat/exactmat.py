@@ -78,7 +78,7 @@ def parse_rational(text):
 
 
 def _format_pair(p, q):
-    """Text "p" or "p/q" of p / q in lowest terms, for a positive q."""
+    """The one exact text writer: "p" or "p/q" of p / q in lowest terms, for q > 0."""
     g = math.gcd(p, q)
     if g != 1:
         p //= g
@@ -179,28 +179,25 @@ def _rational(x):
 
 
 def _int_vector(values):
-    """(ints, den) with values[i] == ints[i] / den."""
+    """(ints, den) with values[i] == ints[i] / den: the one exact-rational sequence reader."""
     pairs = [_int_pair(x) for x in values]
     den = math.lcm(*(q for _, q in pairs))
     return [p * (den // q) for p, q in pairs], den
 
 
 def _ingested(rows_of_entries):
-    """(num, den) with rows_of_entries == num / den: each entry read as an
-    integer pair, and every row scaled to the pairs' common denominator.
-    _normalised then divides out what the pairs did not have in lowest
-    terms: a common denominator over its gcd with all numerators is the
-    lcm of the reduced denominators."""
-    pairs = [[_int_pair(x) for x in row] for row in rows_of_entries]
-    if not pairs or not pairs[0]:
+    """(num, den) with rows_of_entries == num / den, for a list of entry
+    rows: every entry read by _int_vector before the shape is checked, and
+    the integers cut back into rows. _normalised then divides out what the
+    entries did not have in lowest terms: a common denominator over its
+    gcd with all numerators is the lcm of the reduced denominators."""
+    flat, den = _int_vector(chain.from_iterable(rows_of_entries))
+    if not rows_of_entries or not rows_of_entries[0]:
         raise MatrixError("matrix needs at least one row and one column")
-    width = len(pairs[0])
-    if any(len(row) != width for row in pairs):
+    width = len(rows_of_entries[0])
+    if any(len(row) != width for row in rows_of_entries):
         raise MatrixError("rows have unequal lengths")
-    den = math.lcm(*(q for row in pairs for _, q in row))
-    if den == 1:
-        return tuple(tuple(p for p, _ in row) for row in pairs), 1
-    return tuple(tuple(p * (den // q) for p, q in row) for row in pairs), den
+    return tuple(zip(*[iter(flat)] * width)), den
 
 
 def _normalised(num, den, m=None):

@@ -35,39 +35,6 @@ def _parse_ints(text):
         raise MatrixError(f"not a comma-separated list of integers: {text!r}") from None
 
 
-class LinearOrder:
-    """A linear order on {1..n}, listed from smallest to largest."""
-
-    __slots__ = ("seq",)
-
-    def __init__(self, seq):
-        seq = int_tuple(seq)
-        n = len(seq)
-        if n < 1 or sorted(seq) != list(range(1, n + 1)):
-            raise MatrixError(f"not a permutation of 1..{n}: {_shown(seq)}")
-        self.seq = seq
-
-    @classmethod
-    def parse(cls, text):
-        return cls(_parse_ints(_require_text(text, "linear order")))
-
-    @property
-    def n(self):
-        return len(self.seq)
-
-    def __str__(self):
-        return ",".join(str(x) for x in self.seq)
-
-    def __eq__(self, other):
-        return isinstance(other, LinearOrder) and self.seq == other.seq
-
-    def __hash__(self):
-        return hash(self.seq)
-
-    def __repr__(self):
-        return f"LinearOrder({self.seq})"
-
-
 class OrderedPartition:
     """Ordered sequence of disjoint nonempty blocks covering {1..n}."""
 
@@ -121,14 +88,41 @@ class OrderedPartition:
         return f"OrderedPartition({self.blocks})"
 
 
+class LinearOrder(OrderedPartition):
+    """A linear order on {1..n}, listed from smallest to largest: the
+    ordered partition of 1..n into singletons, which it equals."""
+
+    __slots__ = ()
+
+    def __init__(self, seq):
+        seq = int_tuple(seq)
+        n = len(seq)
+        if n < 1 or sorted(seq) != list(range(1, n + 1)):
+            raise MatrixError(f"not a permutation of 1..{n}: {_shown(seq)}")
+        self.blocks = tuple((x,) for x in seq)
+
+    @classmethod
+    def parse(cls, text):
+        return cls(_parse_ints(_require_text(text, "linear order")))
+
+    @property
+    def seq(self):
+        return tuple(b[0] for b in self.blocks)
+
+    def __str__(self):
+        return ",".join(str(x) for x in self.seq)
+
+    def __repr__(self):
+        return f"LinearOrder({self.seq})"
+
+
 def pattern_from_order(order):
     """Support pattern of the subsemigroup labelled by a linear order.
 
     Bit (k, l) is set exactly when k comes before l, so the pattern has
     n(n-1)/2 bits and is the strict upper triangle after relabelling.
     """
-    # a LinearOrder is already a validated permutation
-    pattern = pattern_from_partition(OrderedPartition._trusted(tuple((x,) for x in order.seq)))
+    pattern = pattern_from_partition(order)
     assert pattern.bit_count() == order.n * (order.n - 1) // 2
     return pattern
 

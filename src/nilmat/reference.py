@@ -145,7 +145,7 @@ def run_checks(dataset):
         v = enumerate_vertices(h)
         ineqs, want_ineqs = set(h.rows), set(entry["inequalities"])
         vertices = set(v.vertices)
-        want_vertices = {tuple(Fraction(x) for x in p) for p in entry["vertices"]}
+        want_vertices = set(entry["vertices"])
         census, want_census = dict(facet_census(h)), dict(entry["census"])
         checks += [
             _check(

@@ -68,6 +68,8 @@ def test_boolean_product_examples():
     assert STRICT_UPPER_3 * STRICT_UPPER_3 == bits(3, (1, 3))
     with pytest.raises(MatrixError):
         BoolMatrix.full(2) * BoolMatrix.full(3)
+    with pytest.raises(TypeError):
+        BoolMatrix.empty(2) * 2
     with pytest.raises(MatrixError, match="^size mismatch$"):
         BoolMatrix.empty(2).is_subset(BoolMatrix.full(3))
 
@@ -410,6 +412,7 @@ def test_json_round_trip():
     p = bits(3, (1, 3), (2, 3))
     d = p.to_json_dict()
     assert d == {"n": 3, "bits": [[1, 3], [2, 3]]}
+    assert repr(bits(2, (1, 2))) == "BoolMatrix(2, bits=[(1, 2)])"
     assert BoolMatrix.from_json_dict(d) == p
     with pytest.raises(MatrixError):
         BoolMatrix.from_json_dict({"n": 2, "bits": [[0, 1]]})

@@ -73,6 +73,10 @@ def test_constructor_rejects_floats_and_ragged():
         RMatrix([[1, 2], [3]])
     with pytest.raises(MatrixError):
         RMatrix([])
+    # every entry is read before the shape is checked
+    for rows in ([[1, 0.5], [1]], [[], [0.5]]):
+        with pytest.raises(MatrixError, match="^inexact or unsupported entry type: float$"):
+            RMatrix(rows)
 
 
 @pytest.mark.parametrize(
@@ -189,6 +193,12 @@ def test_singular_and_dimension_errors_are_distinct():
     assert issubclass(SingularMatrix, MatrixError)
     assert issubclass(DimensionMismatch, MatrixError)
     assert not issubclass(SingularMatrix, DimensionMismatch)
+    # an operand that is no matrix and no exact scalar falls to Python's
+    # operator protocol, which raises TypeError
+    one = RMatrix([[1]])
+    for op in (lambda: one + 1, lambda: one * 1.5, lambda: 1.5 * one):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_singular_message_names_the_first_column_without_a_pivot():
@@ -219,6 +229,7 @@ def test_json_round_trip_and_strictness():
     a = RMatrix([[F(1, 3), -2], [0, F(7, 2)]])
     d = a.to_json_dict()
     assert d["entries"] == [["1/3", "-2"], ["0", "7/2"]]
+    assert repr(RMatrix([[1, "1/2"]])) == "RMatrix(1x2: 1 1/2)"
     assert RMatrix.from_json_dict(d) == a
     assert RMatrix.from_json_dict({"rows": 1, "cols": 2, "entries": [[1, "2/3"]]}) == RMatrix(
         [[1, F(2, 3)]]

@@ -55,12 +55,21 @@ def test_linear_order_parsing_and_validation():
         with pytest.raises(MatrixError, match="not a comma-separated list of integers"):
             LinearOrder.parse(text)
     assert LinearOrder.parse(" 2, +1 ").seq == (2, 1)
+    # a linear order is the ordered partition into singletons
+    singletons = OrderedPartition([[2], [3], [1]])
+    assert o == singletons and hash(o) == hash(singletons)
+    assert o.k == o.n == 3
+    assert repr(o) == "LinearOrder((2, 3, 1))"
+    assert pattern_from_partition(o) == pattern_from_order(o)
 
 
 def test_ordered_partition_parsing_and_validation():
     p = OrderedPartition.parse("3,1|2")
     assert p.blocks == ((1, 3), (2,))
     assert str(p) == "1,3|2"
+    assert (p.n, p.k) == (3, 2)
+    assert p == OrderedPartition([[3, 1], [2]]) and hash(p) == hash(OrderedPartition([[1, 3], [2]]))
+    assert repr(OrderedPartition([[2], [3, 1]])) == "OrderedPartition(((2,), (1, 3)))"
     assert block_indices(p) == {1: 1, 3: 1, 2: 2}
     with pytest.raises(MatrixError):
         OrderedPartition([(1, 2), (2, 3)])

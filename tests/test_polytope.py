@@ -129,21 +129,25 @@ def test_parameter_positions_refuse_sizes_that_are_not_matrix_sizes(size):
 
 
 @pytest.mark.parametrize(
-    "size, x",
+    "size, x, message",
     [
-        (4, [0.5, 0.25, 1.5]),
-        (4, [True, 0, 1]),
-        ("4", [1, 2, 3]),
-        (4.0, [1, 2, 3]),
-        (4, "123"),
-        (4, None),
-        (10**20, []),
+        (4, [0.5, 0.25, 1.5], "inexact or unsupported entry type: float"),
+        (4, [True, 0, 1], "inexact or unsupported entry type: bool"),
+        ("4", [1, 2, 3], "matrix size must be an integer, got str"),
+        (4.0, [1, 2, 3], "matrix size must be an integer, got float"),
+        (4, "123", "matrix parameters must be a tuple or list"),
+        (4, None, "matrix parameters must be a tuple or list"),
+        (10**20, [], "matrices built by size are limited to 1000000 entries"),
+        (4, [1, 2], "expected 3 parameters, got 2"),
     ],
-    ids=["float-params", "bool-param", "str-size", "float-size", "str-params", "none", "huge"],
+    ids=[
+        "float-params", "bool-param", "str-size", "float-size", "str-params", "none", "huge",
+        "short",
+    ],
 )
-def test_matrix_from_params_refuses_inexact_input(size, x):
+def test_matrix_from_params_refuses_inexact_input(size, x, message):
     # a size that is not a matrix size is refused by the frame it would give
-    with pytest.raises(MatrixError):
+    with pytest.raises(MatrixError, match=f"^{message}$"):
         matrix_from_params(FlagFrame.standard(size), x)
 
 
@@ -192,6 +196,8 @@ def test_enumerate_vertices_reproduces_reference_lists():
         h = build_h_polytope(reference_frame(which=which))
         v = enumerate_vertices(h)
         assert set(v.vertices) == DATASETS["example1"][which]["vertices"]
+    v = enumerate_vertices(build_h_polytope(FlagFrame.standard(4)))
+    assert repr(v) == "VPolytope(d=3, 10 vertices)"
 
 
 def test_vertices_satisfy_system_with_enough_tight_rows():

@@ -2,7 +2,7 @@
 
 Modules:
   exactmat  exact rational matrices and linear algebra
-  boolrel   Boolean matrices, support patterns, closure, maximality oracle
+  boolrel   Boolean matrices, support patterns, closure, maximality test
   omega     patterns, counting, and units in the nonnegative ambient
   qflag     unit row/column sum matrices, flags, stochastic scaling
   polytope  exact H-to-V conversion of the doubly stochastic polytopes

@@ -179,49 +179,52 @@ def _set_bits(mask):
         mask &= mask - 1
 
 
-def _topological_order(b):
-    """Kahn's topological sort of the digraph of b.
-
-    Returns the vertices in an order with every edge pointing forward; a
-    digraph with a cycle (a self-loop included) leaves the vertices on
-    and after it out, so the order is shorter than n.
-    """
+def _layers(b):
+    """Kahn's topological sort of the digraph of b, recording each vertex's
+    layer L(x), the length of the longest path ending at x. Returns the
+    layers, or None when a cycle (a self-loop included) leaves vertices
+    unsorted, their in-degrees never reaching 0."""
     indeg = [0] * b.n
     for r in b.rows:
         for j in _set_bits(r):
             indeg[j] += 1
+    layer = [0] * b.n
     stack = [v for v in range(b.n) if indeg[v] == 0]
-    order = []
     while stack:
         v = stack.pop()
-        order.append(v)
+        above = layer[v] + 1
         for j in _set_bits(b.rows[v]):
+            if layer[j] < above:
+                layer[j] = above
             indeg[j] -= 1
             if indeg[j] == 0:
                 stack.append(j)
-    return order
+    return None if any(indeg) else layer
 
 
 def is_acyclic(b):
     """Kahn's topological sort; a self-loop counts as a cycle."""
-    return len(_topological_order(b)) == b.n
+    return _layers(b) is not None
 
 
 def nilpotency_index(b):
     """Least k with b^k empty, or None when the digraph has a cycle.
 
     Power iteration is bounded by n steps (an acyclic relation dies by
-    b^n); the independent acyclicity detector cross-checks the answer.
+    b^n). The longest-path layering cross-checks the answer on the class:
+    k is one more than the highest layer, and None means no layering.
     """
-    acyclic = is_acyclic(b)
+    layers = _layers(b)
+    expected = None if layers is None else max(layers) + 1
     p = b
     for k in range(1, b.n + 1):
         if p.is_empty():
-            assert acyclic, "power iteration and topological sort disagree"
-            return k
+            break
         p = p * b
-    assert not acyclic, "power iteration and topological sort disagree"
-    return None
+    else:
+        k = None
+    assert k == expected, "power iteration and layering disagree"
+    return k
 
 
 def is_rook(b):
@@ -291,15 +294,10 @@ def is_maximal_nilpotent_pattern(pattern, kind="bn"):
     """
     if kind not in ("bn", "rook"):
         raise MatrixError(f"unknown ambient kind: {_shown(kind)}")
-    k = nilpotency_index(pattern)
-    if k is None:
+    layers = _layers(pattern)
+    if layers is None:
         raise MatrixError("pattern is not nilpotent: its digraph has a cycle")
-    n, rows = pattern.n, pattern.rows
-    layer = [0] * n
-    for v in _topological_order(pattern):
-        for j in _set_bits(rows[v]):
-            layer[j] = max(layer[j], layer[v] + 1)
-    blocks = [[] for _ in range(k)]
-    for v, t in enumerate(layer):
+    blocks = [[] for _ in range(max(layers) + 1)]
+    for v, t in enumerate(layers):
         blocks[t].append(v + 1)
-    return rows == _partition_rows(n, blocks)
+    return pattern.rows == _partition_rows(pattern.n, blocks)

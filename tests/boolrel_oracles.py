@@ -6,7 +6,8 @@ generated by {pattern, x} and measuring its class; `full_scan_is_maximal`
 applies it to every ambient element outside the pattern (2^(n*n)
 candidates for "bn", so meant for n <= 4), and
 `single_bit_is_maximal` only to the single-bit extensions E_ij.
-`path_length_is_maximal` reads the answer from path lengths, for any n."""
+`path_length_is_maximal` reads the answer from path lengths, for any n,
+relaxed by `longest_paths_in`."""
 
 from nilmat.boolrel import BoolMatrix, is_acyclic, nilpotency_index
 
@@ -116,6 +117,20 @@ def full_scan_is_maximal(pattern, kind):
     return all(extension_breaks(pattern, x, k) for x in universe if not x.is_subset(pattern))
 
 
+def longest_paths_in(pattern):
+    """Lengths of the longest paths ending and starting at each vertex of
+    an acyclic pattern, as two lists, by n rounds of relaxation over its
+    edges."""
+    n = pattern.n
+    edges = pattern.bits()
+    longest_in, longest_out = [0] * n, [0] * n
+    for _ in range(n):
+        for i, j in edges:
+            longest_in[j] = max(longest_in[j], longest_in[i] + 1)
+            longest_out[i] = max(longest_out[i], longest_out[j] + 1)
+    return longest_in, longest_out
+
+
 def path_length_is_maximal(pattern):
     """Maximality of an acyclic pattern P of class k by path lengths, in
     either ambient.
@@ -136,16 +151,11 @@ def path_length_is_maximal(pattern):
     P the vertex v_t with t = L_in(i) + 1 is no successor of i (else
     L_out(i) >= k - t), cannot reach i, and E_(i, v_t) keeps the class.
     Hence P is maximal exactly when L_in(i) + 1 + L_out(j) >= k for
-    every bit (i, j) outside P. The lengths come from n rounds of
-    relaxation over the edges, and k is the longest path plus one.
+    every bit (i, j) outside P. The lengths come from `longest_paths_in`,
+    and k is the longest path plus one.
     """
     n = pattern.n
-    edges = pattern.bits()
-    longest_in, longest_out = [0] * n, [0] * n
-    for _ in range(n):
-        for i, j in edges:
-            longest_in[j] = max(longest_in[j], longest_in[i] + 1)
-            longest_out[i] = max(longest_out[i], longest_out[j] + 1)
+    longest_in, longest_out = longest_paths_in(pattern)
     k = max(longest_in) + 1
     return all(
         longest_in[i] + 1 + longest_out[j] >= k

@@ -8,13 +8,16 @@ from hypothesis import given, settings, strategies as st
 from boolrel_oracles import (
     all_bool_matrices,
     full_scan_is_maximal,
+    longest_paths_in,
     path_length_is_maximal,
     rook_matrices,
     single_bit_is_maximal,
 )
 from conftest import rng, rand_nonneg_matrix
+from nilmat import boolrel
 from nilmat.boolrel import (
     BoolMatrix,
+    _layers,
     closure,
     is_acyclic,
     is_maximal_nilpotent_pattern,
@@ -74,12 +77,17 @@ def test_boolean_product_examples():
         BoolMatrix.empty(2).is_subset(BoolMatrix.full(3))
 
 
-def test_nilpotency_index_examples():
+def test_nilpotency_index_examples(monkeypatch):
     assert nilpotency_index(BoolMatrix.empty(3)) == 1
     assert nilpotency_index(bits(2, (1, 2), (2, 1))) is None
     upper4 = bits(4, (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
     assert nilpotency_index(upper4) == 4
     assert nilpotency_index(bits(1, (1, 1))) is None
+    # the cross-check compares the class, not only acyclicity: a layering
+    # of class 1 against power iteration's 3 is caught
+    monkeypatch.setattr(boolrel, "_layers", lambda b: [0] * b.n)
+    with pytest.raises(AssertionError, match="power iteration and layering disagree"):
+        nilpotency_index(STRICT_UPPER_3)
 
 
 def test_nilpotency_index_agrees_with_acyclicity():
@@ -302,19 +310,30 @@ def test_maximality_agrees_with_the_path_length_rule():
     for kind in ("bn", "rook"):
         assert [is_maximal_nilpotent_pattern(p, kind) for p in patterns] == verdicts
     assert 14 <= sum(verdicts) < len(verdicts)
+    # the layering is the relaxation's longest path ending at each vertex
+    for p in patterns:
+        assert _layers(p) == longest_paths_in(p)[0], p
+    assert _layers(bits(3, (1, 2), (3, 3))) is None
+    assert _layers(bits(3, (1, 2), (2, 3), (3, 2))) is None
 
 
-def test_maximality_past_the_enumeration_bound():
+def test_maximality_past_the_enumeration_bound(monkeypatch):
     # 15 blocks, 14 of seven elements and one of two, so that a dropped
     # bit keeps the class and leaves a pattern that is not maximal
     r = rng(18)
     elems = list(range(1, 101))
     r.shuffle(elems)
     pattern = pattern_from_partition(OrderedPartition(elems[a : a + 7] for a in range(0, 100, 7)))
-    assert is_maximal_nilpotent_pattern(pattern, "bn")
-    assert is_maximal_nilpotent_pattern(pattern, "rook")
     smaller = dropped(pattern, *r.choice(pattern.bits()))
     assert nilpotency_index(smaller) == nilpotency_index(pattern) == 15
+
+    def no_product(a, b):
+        raise AssertionError("the maximality test made a Boolean product")
+
+    # the verdict reads the layering alone
+    monkeypatch.setattr(BoolMatrix, "__mul__", no_product)
+    assert is_maximal_nilpotent_pattern(pattern, "bn")
+    assert is_maximal_nilpotent_pattern(pattern, "rook")
     assert not is_maximal_nilpotent_pattern(smaller, "bn")
     assert not is_maximal_nilpotent_pattern(smaller, "rook")
 

@@ -196,7 +196,7 @@ def _json_chunks(n, k, count, rendered):
 
 def _cmd_omega_enumerate(args, out):
     if not args.json:
-        # streamed a head at a time: each write holds at most 1,024 lines
+        # streamed a head at a time: each write holds at most 4,651 lines
         for _, text in _rendered_chunks(args.n, args.k, _TEXT_LAYOUT):
             out.write(text)
         return 0
@@ -317,30 +317,10 @@ def _ascii_ints(parser):
     parser.register("type", int, _parse_int)
 
 
-class _LazySubcommands(argparse._SubParsersAction):
-    """Subcommands whose parsers get their arguments on first use: add_parser
-    takes a fill function, which runs on the command's parser the first time
-    the command is chosen, so that a command line fills only the parser of
-    the command it names, and that command's subcommands with it."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._fills = {}
-
-    def add_parser(self, name, *, fill, **kwargs):
-        self._fills[name] = fill
-        return super().add_parser(name, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        fill = self._fills.pop(values[0], None)
-        if fill is not None:
-            fill(self._name_parser_map[values[0]])
-        super().__call__(parser, namespace, values, option_string)
-
-
 def build_parser():
-    """The root parser and its five commands. A command's arguments, and the
-    subcommands of omega, q and polytope, are added when it is first chosen."""
+    """The root parser and its five command parsers, held by name in its
+    commands attribute. They stay empty until main fills one, with its
+    arguments and subcommands, the first time its command is chosen."""
     parser = argparse.ArgumentParser(
         prog="nilmat",
         description=(
@@ -348,14 +328,8 @@ def build_parser():
             "doubly stochastic matrix semigroups."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True, action=_LazySubcommands)
-    sub.add_parser(
-        "nilcheck", fill=_fill_nilcheck, help="nilpotency class of a matrix in a chosen ambient"
-    )
-    sub.add_parser("omega", fill=_fill_omega, help="patterns and counts in the nonnegative ambient")
-    sub.add_parser("q", fill=_fill_q, help="the unit row/column sum ambient")
-    sub.add_parser("polytope", fill=_fill_polytope, help="doubly stochastic polytopes of flags")
-    sub.add_parser("verify", fill=_fill_verify, help="recompute a bundled dataset and diff")
+    sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {name: sub.add_parser(name, help=text) for name, text, _ in _COMMANDS}
     return parser
 
 
@@ -462,14 +436,40 @@ def _fill_verify(p):
     p.set_defaults(func=_cmd_verify)
 
 
+# each command's name, help text and fill, which adds the command's
+# arguments and subcommands and imports the modules its handlers read
+_COMMANDS = (
+    ("nilcheck", "nilpotency class of a matrix in a chosen ambient", _fill_nilcheck),
+    ("omega", "patterns and counts in the nonnegative ambient", _fill_omega),
+    ("q", "the unit row/column sum ambient", _fill_q),
+    ("polytope", "doubly stochastic polytopes of flags", _fill_polytope),
+    ("verify", "recompute a bundled dataset and diff", _fill_verify),
+)
+
+
 @functools.cache
 def _parser():
-    """The parser, built on first use and reused by every later main call."""
-    return build_parser()
+    """The root parser and the fills not yet run, built once and reused."""
+    return build_parser(), {name: fill for name, _, fill in _COMMANDS}
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    """Run one command line. One that starts with a command word is parsed
+    once, by that command's parser; the root parses any other, with every
+    command filled, since it may pass the line to any of them."""
+    argv = sys.argv[1:] if argv is None else argv
+    root, unfilled = _parser()
+    command = root.commands.get(argv[0]) if argv else None
+    for name in list(unfilled) if command is None else argv[:1]:
+        if name in unfilled:
+            unfilled.pop(name)(root.commands[name])
+    if command is None:
+        args = root.parse_args(argv)
+    else:
+        # words left over are reported as the root's parse_args reports them
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            root.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args, sys.stdout)
     except MatrixError as exc:

@@ -191,11 +191,6 @@ def count_max_nilpotent(n, k, max_digits=0):
 
 _ENUMERATION_MAX_N = 10
 
-# most tail assignments, k^t, that one call holds: the tail is cut below
-# floor(n/2) elements until they fit, so that the table stays small beside
-# a stream whose memory is otherwise flat; a shorter tail means more heads
-_TAIL_TABLE_MAX = 1024
-
 
 def _assignments(elements, k, spare, blocks=None, mask=0):
     """Assignments of the elements to k blocks, in the lexicographic order
@@ -219,21 +214,19 @@ def _assignments(elements, k, spare, blocks=None, mask=0):
 def _partition_chunks(n, k, tail_item=None):
     """The ordered partitions of {1..n} into k blocks, one chunk per head.
 
-    The tail is the assignment of the last t elements, t = floor(n/2) cut
-    down while k^t > _TAIL_TABLE_MAX, and the head that of the first
-    h = n - t. Every head element is smaller than every tail element, so
-    block j of a partition is head block j followed by tail block j, and
-    the canonical order is head-major and tail-minor. Yields (head blocks,
-    tails) in that order, where tails lists tail_item(tail blocks), or the
-    tail blocks themselves, for every tail covering the blocks that the
-    head leaves empty. The tail table is built once per call, and the
-    tails for each set of empty blocks are filtered once."""
+    The tail is the assignment of the last t = floor(n/2) elements, and the
+    head that of the first h = n - t. Every head element is smaller than
+    every tail element, so block j of a partition is head block j followed
+    by tail block j, and the canonical order is head-major and tail-minor.
+    Yields (head blocks, tails) in that order, where tails lists
+    tail_item(tail blocks), or the tail blocks themselves, for every tail
+    covering the blocks that the head leaves empty. The tail table, at most
+    k^t assignments, is built once per call, and the tails for each set of
+    empty blocks are filtered once."""
     _check_block_count(n, k)
     if n > _ENUMERATION_MAX_N:
         raise MatrixError(f"partition enumeration limited to n <= {_ENUMERATION_MAX_N}")
     t = n // 2
-    while k**t > _TAIL_TABLE_MAX:
-        t -= 1
     h = n - t
     masks, items = [], []
     for blocks, mask in _assignments(range(h + 1, n + 1), k, h):

@@ -104,7 +104,9 @@ def test_in_process_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
         ["omega", "count", "--n", "4", "--k", "3"],
         ["omega", "count", "--n", "3", "--k", "9"],
         ["omega", "count", "--n", "4"],
+        ["omega", "count", "--n", "4", "--k", "3", "extra"],
         ["nope"],
+        ["--bogus", "verify", "example1"],
         ["omega", "pattern", "--order", "1,x"],
         ["polytope", "build", "--frame", "frame.json", "--census"],
         ["q", "make-nilpotent", "--frame", "frame.json", "--b", "b.json", "--alpha", "x"],
@@ -144,7 +146,7 @@ def test_in_process_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
         captured = capsys.readouterr()
         in_process.append((code, captured.out, captured.err))
     assert len(builds) == 1
-    assert [code for code, _, _ in in_process] == [0, 1, 2, 2, 2, 0, 2, 0] + [0] * 9
+    assert [code for code, _, _ in in_process] == [0, 1, 2, 2, 2, 2, 2, 0, 2, 0] + [0] * 9
 
     for argv, got in zip(sequence, in_process):
         fresh = subprocess.run(
@@ -152,6 +154,19 @@ def test_in_process_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
         )
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def test_a_command_line_starting_with_a_command_skips_the_root_parser(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the root parser ran")
+
+    root = cli.build_parser()
+    monkeypatch.setattr(root, "parse_args", refuse)
+    monkeypatch.setattr(root, "parse_known_args", refuse)
+    monkeypatch.setattr(cli, "build_parser", lambda: root)
+    cli._parser.cache_clear()
+    assert run(capsys, "omega", "count", "--n", "4", "--k", "3") == (0, "36\n", "")
+    cli._parser.cache_clear()
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,8 @@
 
 Each case records the exit code, stdout and stderr of main(argv) at 80
 columns: the root parser and each of the 14 command parsers with --help,
-bare and with an unknown option, plus invalid choices and rejected option
-values.
+bare and with an unknown option, plus invalid choices, rejected option
+values and words left over after a command, which the root reports.
 
 Two details of argparse's own formatting differ between releases, so they
 are not pinned. Python 3.13.0 wraps the usage line of omega member before
@@ -53,6 +53,9 @@ CASES = [parser + extra for parser in PARSERS for extra in (["--help"], [], ["--
     ["omega", "pattern", "--order", "1,1"],
     ["q", "make-nilpotent", "--alpha", "1/0"],
     ["nilcheck", "--matrix", "m.json", "--ambient", "x"],
+    ["omega", "count", "--n", "3", "--k", "2", "extra"],
+    ["verify", "example1", "--bogus"],
+    ["--bogus", "verify", "example1"],
 ]
 # the labels of a case's results from the two sides of the wrapping split
 VERSION_KEYS = ("before 3.13", "3.13 and later")

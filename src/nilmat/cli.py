@@ -47,8 +47,9 @@ def _write_files(exports):
     a temporary sibling first, created with "x" so that its permissions
     follow the umask. Any error, one raised by a chunk iterator included,
     removes every temporary and leaves every target as it was. Two exports
-    that name one file are refused before anything is written, since the
-    later one would replace the earlier."""
+    that name one file, or an export to a directory, are refused before
+    anything is written: the later one would replace the earlier, and a
+    directory could not be replaced until an earlier target had been."""
     # realpath costs a few system calls per path, and one export cannot clash
     if len(exports) > 1:
         seen = set()
@@ -56,6 +57,8 @@ def _write_files(exports):
             real = os.path.realpath(path)
             if real in seen:
                 raise MatrixError(f"two exports name one file: {path}")
+            if os.path.isdir(real):
+                raise MatrixError(f"cannot write {path}: Is a directory")
             seen.add(real)
     staged = []
     try:

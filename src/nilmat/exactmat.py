@@ -255,9 +255,6 @@ class RMatrix:
         i, j = key
         return Fraction(self._num[i][j], self._den)
 
-    def column(self, j):
-        return tuple(Fraction(r[j], self._den) for r in self._num)
-
     def to_rows(self):
         """Mutable copy as a list of lists of Fractions."""
         return [[Fraction(x, self._den) for x in r] for r in self._num]
@@ -278,13 +275,13 @@ class RMatrix:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _plus(self, other, sign, what):
+    def __add__(self, other):
         if not isinstance(other, RMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch(f"matrix {what} needs equal shapes")
+            raise DimensionMismatch("matrix addition needs equal shapes")
         den = math.lcm(self._den, other._den)
-        s, t = den // self._den, sign * (den // other._den)
+        s, t = den // self._den, den // other._den
         return _normalised(
             tuple(
                 tuple(s * x + t * y for x, y in zip(r1, r2))
@@ -292,15 +289,6 @@ class RMatrix:
             ),
             den,
         )
-
-    def __add__(self, other):
-        return self._plus(other, 1, "addition")
-
-    def __sub__(self, other):
-        return self._plus(other, -1, "subtraction")
-
-    def __neg__(self):
-        return _normalised(tuple(tuple(-x for x in row) for row in self._num), self._den)
 
     def __mul__(self, other):
         if isinstance(other, RMatrix):
@@ -323,25 +311,6 @@ class RMatrix:
             return self.__mul__(other)
         return NotImplemented
 
-    def __pow__(self, k):
-        if not _is_int(k) or k < 1:
-            raise MatrixError("matrix power needs a positive integer exponent")
-        if not self.is_square:
-            raise DimensionMismatch("matrix power needs a square matrix")
-        result = None
-        base = self
-        e = k
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def transpose(self):
-        return _normalised(tuple(zip(*self._num)), self._den)
-
     def inverse(self):
         """Exact inverse by fraction-free Gauss-Jordan elimination of
         [N | I], where this matrix is N / den.
@@ -363,9 +332,6 @@ class RMatrix:
         return _normalised(tuple(tuple(scale * x for x in row[n:]) for row in a), abs(d))
 
     # -- inspection ----------------------------------------------------------
-
-    def is_zero(self):
-        return not any(chain.from_iterable(self._num))
 
     def min_entry(self):
         return Fraction(min(chain.from_iterable(self._num)), self._den)

@@ -7,6 +7,7 @@ test against the pattern.
 """
 
 import math
+from itertools import chain
 from operator import add
 
 from .boolrel import BoolMatrix, _partition_rows, _size, _support, is_rook, nilpotency_index
@@ -285,15 +286,18 @@ def pattern_class(pattern):
 
 def monomial_conjugator(order1, order2):
     """Permutation matrix M whose conjugation X -> M^-1 X M carries the
-    first order's pattern onto the second's.
+    first ordered partition's pattern onto the second's; the two need the
+    same block sizes, in order, as any two linear orders on 1..n have.
 
     M has a one at (i, j) exactly when j is the image of i under the
-    permutation sending the t-th element of order1 to the t-th element
-    of order2."""
+    permutation sending the t-th element of order1's blocks, read in
+    order, to the t-th element of order2's."""
     if order1.n != order2.n:
         raise MatrixError("orders live on different ground sets")
+    if [len(b) for b in order1.blocks] != [len(b) for b in order2.blocks]:
+        raise MatrixError("ordered partitions have different block sizes")
     n = order1.n
-    image = dict(zip(order1.seq, order2.seq))
+    image = dict(zip(chain.from_iterable(order1.blocks), chain.from_iterable(order2.blocks)))
     return _normalised(
         tuple(tuple(int(image[i] == j) for j in range(1, n + 1)) for i in range(1, n + 1)), 1
     )

@@ -72,7 +72,7 @@ def rand_frame(r, n, dims=None):
             cols.append(body + [-sum(body, ZERO)])
         try:
             return FlagFrame(
-                RMatrix(cols).transpose(),
+                RMatrix(list(zip(*cols))),
                 dims if dims is not None else range(1, n),
             )
         except MatrixError:
@@ -90,7 +90,7 @@ def rand_tree_frame(r, n):
             col[i], col[j] = ONE, -ONE
             cols.append(col)
         try:
-            return FlagFrame(RMatrix(cols).transpose(), range(1, n))
+            return FlagFrame(RMatrix(list(zip(*cols))), range(1, n))
         except MatrixError:
             continue
 

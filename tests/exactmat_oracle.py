@@ -58,16 +58,6 @@ class RMatrix:
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)]
         )
 
-    def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix subtraction needs equal shapes")
-        return RMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)]
-        )
-
-    def __neg__(self):
-        return RMatrix([[-x for x in row] for row in self._data])
-
     def __mul__(self, other):
         if isinstance(other, RMatrix):
             if self.cols != other.rows:
@@ -81,9 +71,6 @@ class RMatrix:
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def transpose(self):
-        return RMatrix([self.column(j) for j in range(self.cols)])
 
     def inverse(self):
         if not self.is_square:

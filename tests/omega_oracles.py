@@ -70,9 +70,12 @@ def pair_partition_pattern(partition):
 
 def fraction_monomial_conjugator(order1, order2):
     """Permutation matrix with a one at (i, j) when the t-th element of
-    order1 is i and the t-th element of order2 is j."""
+    order1's blocks, read in order, is i and the t-th element of order2's
+    is j."""
     n = order1.n
-    image = {order1.seq[t]: order2.seq[t] for t in range(n)}
+    seq1 = [x for block in order1.blocks for x in block]
+    seq2 = [x for block in order2.blocks for x in block]
+    image = {seq1[t]: seq2[t] for t in range(n)}
     rows = [[ZERO] * n for _ in range(n)]
     for i in range(1, n + 1):
         rows[i - 1][image[i] - 1] = ONE

@@ -95,7 +95,7 @@ def brute_force_is_bounded(h):
 def _left_kernel_projection(a, guess):
     """Orthogonal projection of a weight vector onto the left kernel of a,
     exactly, through the normal equations (a has full column rank)."""
-    at = a.transpose()
+    at = RMatrix(list(zip(*a.to_rows())))
     z = solve_unique(at * a, mat_vec(at, guess))
     return tuple(g - x for g, x in zip(guess, mat_vec(a, z)))
 

@@ -1,8 +1,8 @@
 """Oracles that nilmat.qflag used before it read frames as integer rows.
 
 `fraction_standard_frame` builds the difference-basis frame from Fraction
-columns and a transpose; `fraction_flags_equal` ranks the Fraction columns
-of both frames at each breakpoint."""
+columns, zipped into rows; `fraction_flags_equal` ranks the Fraction
+columns of both frames at each breakpoint, side by side."""
 
 from nilmat.exactmat import ONE, ZERO, RMatrix, rank
 from nilmat.qflag import FlagFrame
@@ -17,7 +17,7 @@ def fraction_standard_frame(n, dims=None):
         col[i] = ONE
         col[i + 1] = -ONE
         cols.append(col)
-    return FlagFrame(RMatrix(cols).transpose(), dims if dims is not None else range(1, n))
+    return FlagFrame(RMatrix(list(zip(*cols))), dims if dims is not None else range(1, n))
 
 
 def fraction_flags_equal(frame1, frame2):
@@ -25,8 +25,7 @@ def fraction_flags_equal(frame1, frame2):
     if frame1.n != frame2.n or frame1.dims != frame2.dims:
         return False
     for d in frame1.dims:
-        cols = [frame1.f.column(j) for j in range(1, d + 1)]
-        cols += [frame2.f.column(j) for j in range(1, d + 1)]
-        if rank(RMatrix(cols).transpose()) != d:
+        rows = zip(frame1.f.to_rows(), frame2.f.to_rows())
+        if rank(RMatrix([r1[1 : d + 1] + r2[1 : d + 1] for r1, r2 in rows])) != d:
             return False
     return True

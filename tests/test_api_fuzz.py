@@ -306,11 +306,8 @@ MATRIX_AND_FRAME = "takes only a matrix and a frame"
 
 # public names, as module.qualname, that CALLS leaves out, each with why
 EXEMPT = {
-    "exactmat.RMatrix.column": "indexing, which keeps Python's IndexError as m[i, j] does",
     "exactmat.RMatrix.to_rows": ONLY_MATRIX,
-    "exactmat.RMatrix.transpose": ONLY_MATRIX,
     "exactmat.RMatrix.inverse": ONLY_MATRIX,
-    "exactmat.RMatrix.is_zero": ONLY_MATRIX,
     "exactmat.RMatrix.min_entry": ONLY_MATRIX,
     "exactmat.RMatrix.max_entry": ONLY_MATRIX,
     "exactmat.RMatrix.nonzero_positions": ONLY_MATRIX,
@@ -332,7 +329,7 @@ EXEMPT = {
     "omega.pattern_from_partition": "takes only an OrderedPartition",
     "omega.nilpotency_class": ONLY_MATRIX,
     "omega.pattern_class": ONLY_PATTERN,
-    "omega.monomial_conjugator": "takes only two LinearOrders",
+    "omega.monomial_conjugator": "takes only two OrderedPartitions",
     "omega.nilpotent_nonzero_count": ONLY_MATRIX,
     "omega.is_unit": ONLY_MATRIX,
     "qflag.is_in_q": ONLY_MATRIX,

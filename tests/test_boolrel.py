@@ -107,7 +107,7 @@ def test_class_preservation_under_support():
         p = a
         exact = None
         for k in range(1, n + 1):
-            if p.is_zero():
+            if p == RMatrix.zero(n):
                 exact = k
                 break
             p = p * a

@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from conftest import rng, rand_matrix, rand_pattern_supported
-from nilmat.boolrel import BoolMatrix
+from nilmat.boolrel import BoolMatrix, support_pattern
 from nilmat.exactmat import RMatrix, MatrixError
 from nilmat.omega import (
     MAX_COUNT_WORK,
@@ -361,18 +361,46 @@ def test_monomial_conjugator_examples():
     assert monomial_conjugator(o, o) == RMatrix.identity(3)
     m = monomial_conjugator(LinearOrder([1, 2, 3]), LinearOrder([2, 3, 1]))
     assert m == RMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    with pytest.raises(MatrixError):
+    with pytest.raises(MatrixError, match="^orders live on different ground sets$"):
         monomial_conjugator(LinearOrder([1, 2]), LinearOrder([1, 2, 3]))
+
+
+def test_monomial_conjugator_gives_equal_values_one_answer():
+    # an ordered partition into singletons equals, and hashes like, the order
+    order, part = LinearOrder([2, 1]), OrderedPartition([[2], [1]])
+    assert part == order and hash(part) == hash(order)
+    swap = RMatrix([[0, 1], [1, 0]])
+    for o1, o2 in ((part, order), (order, part), (part, part)):
+        assert monomial_conjugator(o1, LinearOrder([1, 2])) == swap
+        assert monomial_conjugator(o1, o2) == RMatrix.identity(2)
+    p1, p2 = OrderedPartition([[1, 3], [2]]), OrderedPartition([[2, 3], [1]])
+    m = monomial_conjugator(p1, p2)
+    assert m == RMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    # conjugation carries the first pattern onto exactly the second
+    x = rand_pattern_supported(rng(21), pattern_from_partition(p1), density=1)
+    assert support_pattern(m.inverse() * x * m) == pattern_from_partition(p2)
+
+
+def test_monomial_conjugator_refuses_different_block_sizes():
+    with pytest.raises(MatrixError, match="^ordered partitions have different block sizes$"):
+        monomial_conjugator(OrderedPartition([[1, 2], [3]]), OrderedPartition([[1], [2, 3]]))
+    with pytest.raises(MatrixError, match="^ordered partitions have different block sizes$"):
+        monomial_conjugator(OrderedPartition([[1, 2, 3]]), LinearOrder([1, 2, 3]))
 
 
 def test_monomial_conjugator_matches_the_fraction_oracle():
     for n in range(1, 5):
-        orders = [LinearOrder(p) for p in permutations(range(1, n + 1))]
-        for o1 in orders:
-            for o2 in orders:
-                m = monomial_conjugator(o1, o2)
-                assert m == fraction_monomial_conjugator(o1, o2)
-                assert m.to_json_dict() == fraction_monomial_conjugator(o1, o2).to_json_dict()
+        by_sizes = {}
+        for k in range(1, n + 1):
+            for p in iter_ordered_partitions(n, k):
+                by_sizes.setdefault(tuple(len(b) for b in p.blocks), []).append(p)
+        by_sizes[(1,) * n] += [LinearOrder(p) for p in permutations(range(1, n + 1))]
+        for parts in by_sizes.values():
+            for p1 in parts:
+                for p2 in parts:
+                    m = monomial_conjugator(p1, p2)
+                    assert m == fraction_monomial_conjugator(p1, p2)
+                    assert m.to_json_dict() == fraction_monomial_conjugator(p1, p2).to_json_dict()
 
 
 def test_conjugation_carries_patterns_exactly():

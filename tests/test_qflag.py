@@ -60,7 +60,7 @@ def test_membership_examples():
     assert is_in_q(RMatrix([[0, 1], [1, 0]]))
     assert is_in_q(RMatrix([[2, -1], [-1, 2]]))
     assert not is_in_q(RMatrix([[1, 0], [0, 2]]))
-    assert not is_in_q(RMatrix([[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]]).transpose())
+    assert not is_in_q(RMatrix([[F(1, 2), F(1, 4)], [F(1, 2), F(3, 4)]]))
     with pytest.raises(MatrixError):
         is_in_q(RMatrix([[1, 2, 3]]))
 
@@ -232,10 +232,12 @@ def test_interpolation_powers_never_reach_the_zero_element():
         z = q_zero(n)
         for t in (F(1, 2), F(1, 3)):
             a = t * z + (1 - t) * e
+            p = a
             for k in range(1, 7):
                 expected = (1 - t) ** k * e + (1 - (1 - t) ** k) * z
-                assert a ** k == expected
-                assert a ** k != z
+                assert p == expected
+                assert p != z
+                p = p * a
 
 
 def test_scale_toward_zero():
@@ -331,14 +333,14 @@ def test_make_stochastic_nilpotent_preserves_class():
 def test_flags_equal():
     f1 = FlagFrame.standard(4)
     # same flag, rescaled and recombined basis columns
-    cols = [f1.f.column(j) for j in range(4)]
+    cols = list(zip(*f1.f.to_rows()))
     new_cols = [
         cols[0],
         tuple(2 * x for x in cols[1]),
         tuple(x + y for x, y in zip(cols[1], cols[2])),
         tuple(-x for x in cols[3]),
     ]
-    f2 = FlagFrame(RMatrix(new_cols).transpose(), (1, 2, 3))
+    f2 = FlagFrame(RMatrix(list(zip(*new_cols))), (1, 2, 3))
     assert flags_equal(f1, f2)
     assert not flags_equal(reference_frame(which="frame-a"), reference_frame(which="frame-b"))
     assert not flags_equal(f1, FlagFrame.standard(4, dims=[2, 3]))
@@ -347,14 +349,14 @@ def test_flags_equal():
 def _same_flag_copy(r, frame):
     """The frame with each basis column scaled by a nonzero Fraction and
     shifted by a multiple of an earlier one: the same flag, new columns."""
-    cols = [list(frame.f.column(j)) for j in range(frame.n)]
+    cols = [list(col) for col in zip(*frame.f.to_rows())]
     for j in range(1, frame.n):
         scale = F(r.choice([-3, -2, -1, 1, 2, 3]), r.randint(1, 4))
         cols[j] = [scale * x for x in cols[j]]
         if j > 1:
             i, c = r.randint(1, j - 1), F(r.randint(-2, 2), r.randint(1, 3))
             cols[j] = [x + c * y for x, y in zip(cols[j], cols[i])]
-    return FlagFrame(RMatrix(cols).transpose(), frame.dims)
+    return FlagFrame(RMatrix(list(zip(*cols))), frame.dims)
 
 
 def _swapped_across_blocks(r, frame):
@@ -362,9 +364,9 @@ def _swapped_across_blocks(r, frame):
     a later block: another flag, unless the spans happen to agree."""
     i = r.randint(1, frame.dims[0])
     j = r.randint(frame.dims[0] + 1, frame.n - 1)
-    cols = [list(frame.f.column(k)) for k in range(frame.n)]
+    cols = [list(col) for col in zip(*frame.f.to_rows())]
     cols[i], cols[j] = cols[j], cols[i]
-    return FlagFrame(RMatrix(cols).transpose(), frame.dims)
+    return FlagFrame(RMatrix(list(zip(*cols))), frame.dims)
 
 
 def test_flags_equal_matches_the_fraction_oracle():
